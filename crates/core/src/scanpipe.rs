@@ -7,17 +7,19 @@
 //! comes back clean, the pipeline uploads the page content the crawler's
 //! *browser* captured, which defeats the cloak.
 //!
-//! The pipeline is data-parallel: [`ScanPipeline::scan`] takes `&self`,
-//! all memoization lives in sharded concurrent caches
-//! ([`slum_detect::ShardedCache`]), and [`ScanPipeline::scan_all_parallel`]
-//! fans a batch out over scoped worker threads while keeping the output
-//! order — and the verdicts themselves — identical to the serial path.
+//! The pipeline is data-parallel: [`ScanPipeline::scan`] takes `&self`
+//! and all memoization lives in sharded concurrent caches
+//! ([`slum_detect::ShardedCache`]), so the study's scan stage fans the
+//! crawl's record stream out over scoped consumer threads while keeping
+//! the output order — and the verdicts themselves — identical to a
+//! serial scan.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
+use crossbeam::channel::{Receiver, Sender};
 use slum_browser::Browser;
-use slum_crawler::CrawlRecord;
+use slum_crawler::{CrawlRecord, RecordChunk};
 use slum_detect::blacklist::BlacklistDb;
 use slum_detect::fault::{FaultPlan, ScanService, ServiceDecision};
 use slum_detect::hash::fnv1a;
@@ -26,7 +28,10 @@ use slum_detect::virustotal::{VirusTotal, VtReport};
 use slum_detect::{Features, Interner, JsModuleCache, ShardedCache};
 use slum_js::sandbox::{JsEngine, SandboxReport};
 use slum_js::ModuleStore;
+use slum_obs::{Histogram, LocalMetrics};
 use slum_websim::{RequestContext, SyntheticWeb, Url};
+
+use crate::filter::{ReferralClass, ReferralFilter};
 
 /// Which services contributed to a verdict — the provenance record the
 /// related mal-activity-measurement literature argues must accompany
@@ -109,10 +114,9 @@ pub fn scan_key(record: &CrawlRecord) -> String {
     format!("{}#{}", record.exchange, record.seq)
 }
 
-/// Default scan work-unit size: records per chunk pulled by a parallel
-/// scan worker, and the surf-slot budget per streamed crawl chunk in
-/// the overlapped pipeline. Small enough to load-balance, large enough
-/// that the atomic pull and channel hop amortize to noise.
+/// Default scan work-unit size: records per chunk streamed from the
+/// crawl to a scan consumer. Small enough to load-balance, large enough
+/// that the channel hop amortizes to noise.
 pub const DEFAULT_SCAN_CHUNK: usize = 256;
 
 /// Default corpus size below which the scan phase runs serially.
@@ -575,70 +579,101 @@ impl<'w> ScanPipeline<'w> {
         records.iter().map(|r| self.scan(r)).collect()
     }
 
-    /// Scans a batch across `workers` scoped threads with the default
-    /// work-unit size ([`DEFAULT_SCAN_CHUNK`]); see
-    /// [`ScanPipeline::scan_all_parallel_chunked`].
-    pub fn scan_all_parallel(&self, records: &[CrawlRecord], workers: usize) -> Vec<ScanOutcome> {
-        self.scan_all_parallel_chunked(records, workers, DEFAULT_SCAN_CHUNK)
-    }
-
-    /// Scans a batch across `workers` scoped threads, distributing the
-    /// records as fixed-size chunks pulled from a shared atomic index.
+    /// The scan side of the crawl→scan pipeline: `workers` consumer
+    /// threads pull the [`RecordChunk`]s that `produce` streams through
+    /// a bounded channel, while `produce` runs on the calling thread.
     ///
-    /// Unlike one contiguous mega-chunk per worker, chunk-sized work
-    /// units load-balance: a worker that drew cache-cold records keeps
-    /// pulling small chunks while its peers do the same, so no thread
-    /// idles behind one unlucky stretch of the corpus. Each worker tags
-    /// its results with the chunk index and the chunks are reassembled
-    /// in order — so the output is index-aligned with `records` and
-    /// identical to [`ScanPipeline::scan_all`] for every worker count
-    /// and chunk size (verdicts are pure functions of the record;
-    /// caches only change *when* work happens, never its result).
-    pub fn scan_all_parallel_chunked(
+    /// Each consumer classifies every record's referral and scans the
+    /// regular ones; self and popular referrals get an inert clean
+    /// outcome so indices stay aligned. Scanned chunks are reassembled
+    /// in `(exchange_index, chunk_seq)` order — the producer's store
+    /// order — so the output is identical for every worker count and
+    /// chunk size (verdicts are pure functions of the record; caches
+    /// only change *when* work happens, never its result). Per-record
+    /// scan latencies go to `latency`; counters are buffered per
+    /// consumer and returned merged.
+    pub(crate) fn scan_stream<T>(
         &self,
-        records: &[CrawlRecord],
+        filter: &ReferralFilter,
         workers: usize,
-        chunk: usize,
-    ) -> Vec<ScanOutcome> {
-        let workers = workers.max(1).min(records.len().max(1));
-        if workers == 1 {
-            return self.scan_all(records);
-        }
-        let chunk = chunk.max(1);
-        let n_chunks = records.len().div_ceil(chunk);
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+        latency: &Histogram,
+        produce: impl FnOnce(Sender<RecordChunk>) -> T,
+    ) -> ScannedStream<T> {
+        let (tx, rx) = crossbeam::channel::bounded::<RecordChunk>(PIPELINE_CHANNEL_CAP);
+        let (produced, parts) = crossbeam::thread::scope(|scope| {
+            let consumers: Vec<_> = (0..workers.max(1))
                 .map(|_| {
-                    let next = &next;
-                    scope.spawn(move |_| {
-                        let mut parts: Vec<(usize, Vec<ScanOutcome>)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * chunk;
-                            let hi = (lo + chunk).min(records.len());
-                            parts.push((c, self.scan_all(&records[lo..hi])));
-                        }
-                        parts
-                    })
+                    let rx = rx.clone();
+                    scope.spawn(move |_| self.scan_chunks(&rx, filter, latency))
                 })
                 .collect();
-            let mut by_chunk: Vec<Option<Vec<ScanOutcome>>> = vec![None; n_chunks];
-            for handle in handles {
-                for (c, outcomes) in handle.join().expect("scan worker panicked") {
-                    by_chunk[c] = Some(outcomes);
-                }
-            }
-            let mut merged = Vec::with_capacity(records.len());
-            for outcomes in by_chunk {
-                merged.extend(outcomes.expect("every chunk scanned exactly once"));
-            }
-            merged
+            drop(rx);
+            let produced = produce(tx);
+            let parts: Vec<_> = consumers
+                .into_iter()
+                .map(|c| c.join().expect("scan consumer panicked"))
+                .collect();
+            (produced, parts)
         })
-        .expect("scan scope panicked")
+        .expect("scan scope panicked");
+
+        let mut metrics = LocalMetrics::new();
+        let mut chunks = Vec::new();
+        for (scanned, local) in parts {
+            metrics.merge(&local);
+            chunks.extend(scanned);
+        }
+        chunks.sort_unstable_by_key(|c: &ScannedChunk| (c.exchange_index, c.chunk_seq));
+        let mut stream = ScannedStream {
+            produced,
+            chunks: chunks.len() as u64,
+            referrals: Vec::new(),
+            outcomes: Vec::new(),
+            metrics,
+        };
+        for chunk in chunks {
+            stream.referrals.extend(chunk.referrals);
+            stream.outcomes.extend(chunk.outcomes);
+        }
+        stream
+    }
+
+    /// One consumer of [`ScanPipeline::scan_stream`]: scans chunks until
+    /// the stream ends. The chunk's records are dropped once scanned.
+    fn scan_chunks(
+        &self,
+        rx: &Receiver<RecordChunk>,
+        filter: &ReferralFilter,
+        latency: &Histogram,
+    ) -> (Vec<ScannedChunk>, LocalMetrics) {
+        let mut local = LocalMetrics::new();
+        let mut scanned = Vec::new();
+        while let Ok(chunk) = rx.recv() {
+            let referrals: Vec<ReferralClass> =
+                chunk.records.iter().map(|r| filter.classify(r)).collect();
+            let outcomes = chunk
+                .records
+                .iter()
+                .zip(&referrals)
+                .map(|(record, class)| {
+                    if *class != ReferralClass::Regular {
+                        return clean_outcome(record);
+                    }
+                    let t0 = Instant::now();
+                    let outcome = self.scan(record);
+                    latency.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    local.inc("scan.scans");
+                    outcome
+                })
+                .collect();
+            scanned.push(ScannedChunk {
+                exchange_index: chunk.exchange_index,
+                chunk_seq: chunk.chunk_seq,
+                referrals,
+                outcomes,
+            });
+        }
+        (scanned, local)
     }
 
     /// Chain-wide blacklist check: first registered domain on the
@@ -693,9 +728,50 @@ impl<'w> ScanPipeline<'w> {
     }
 }
 
+/// Capacity of the crawl→scan chunk channel. Bounds the records in
+/// flight between the two sides — at most this many chunks plus what
+/// each consumer holds; a full channel holds the crawl back instead of
+/// buffering the whole corpus.
+const PIPELINE_CHANNEL_CAP: usize = 32;
+
+/// One streamed chunk after scanning, awaiting reassembly.
+struct ScannedChunk {
+    exchange_index: usize,
+    chunk_seq: u64,
+    referrals: Vec<ReferralClass>,
+    outcomes: Vec<ScanOutcome>,
+}
+
+/// What [`ScanPipeline::scan_stream`] returns.
+pub(crate) struct ScannedStream<T> {
+    /// The producer's result.
+    pub produced: T,
+    /// Chunks scanned.
+    pub chunks: u64,
+    /// Referral class per streamed record, in store order.
+    pub referrals: Vec<ReferralClass>,
+    /// Scan outcome per streamed record, in store order.
+    pub outcomes: Vec<ScanOutcome>,
+    /// The consumers' merged counters.
+    pub metrics: LocalMetrics,
+}
+
+/// The outcome a filtered (self or popular) record carries: clean, no
+/// service consulted.
+fn clean_outcome(record: &CrawlRecord) -> ScanOutcome {
+    ScanOutcome {
+        malicious: false,
+        vt: empty_vt_report(),
+        quttera: empty_quttera_report(&record.url),
+        blacklisted_domain: None,
+        needed_content_upload: false,
+        source: VerdictSource::Full,
+        faults: FaultLog::default(),
+    }
+}
+
 /// The report an unreachable VirusTotal contributes: no detections, no
-/// engines consulted (same shape the study splices for filtered
-/// records).
+/// engines consulted (same shape filtered records carry).
 fn empty_vt_report() -> VtReport {
     VtReport { detections: Vec::new(), total_engines: 0, threshold: 2 }
 }
@@ -716,6 +792,28 @@ mod tests {
     fn record_for(web: &SyntheticWeb, url: &Url) -> CrawlRecord {
         let load = Browser::new(web).load(url);
         CrawlRecord::from_load("test", 0, 0, &load)
+    }
+
+    /// Streams `records` through [`ScanPipeline::scan_stream`] as one
+    /// source's chunks of `chunk` records, every record regular.
+    fn stream(
+        pipe: &ScanPipeline<'_>,
+        records: &[CrawlRecord],
+        workers: usize,
+        chunk: usize,
+    ) -> Vec<ScanOutcome> {
+        let filter = ReferralFilter::from_hosts(Vec::new(), Vec::new());
+        let scanned = pipe.scan_stream(&filter, workers, &Histogram::new(), |tx| {
+            for (seq, part) in records.chunks(chunk).enumerate() {
+                let records = part.to_vec();
+                let chunk = RecordChunk { exchange_index: 0, chunk_seq: seq as u64, records };
+                tx.send(chunk).expect("consumers alive");
+            }
+        });
+        assert_eq!(scanned.chunks as usize, records.len().div_ceil(chunk));
+        assert_eq!(scanned.referrals, vec![ReferralClass::Regular; records.len()]);
+        assert_eq!(scanned.metrics.count("scan.scans") as usize, records.len());
+        scanned.outcomes
     }
 
     #[test]
@@ -825,7 +923,7 @@ mod tests {
         for workers in [2usize, 3, 8] {
             for chunk in [1usize, 4, 64, 4096] {
                 pipe.clear_caches();
-                let outcomes = pipe.scan_all_parallel_chunked(&records, workers, chunk);
+                let outcomes = stream(&pipe, &records, workers, chunk);
                 assert_eq!(
                     outcomes, baseline,
                     "chunked scan diverged at {workers} workers, chunk {chunk}"
@@ -963,7 +1061,22 @@ mod tests {
         let serial = pipe.scan_all(&records);
         for workers in [2, 3, 16] {
             pipe.clear_caches();
-            assert_eq!(pipe.scan_all_parallel(&records, workers), serial, "workers={workers}");
+            assert_eq!(stream(&pipe, &records, workers, 1), serial, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn scan_stream_handles_empty_and_singleton_corpora() {
+        let mut b = WebBuilder::new(211);
+        let bad = b.js_site(JsAttack::HiddenIframe, Tld::Com, ContentCategory::Business, false);
+        let web = b.finish();
+        let pipe = ScanPipeline::new(&web);
+        let single = [record_for(&web, &bad.url)];
+        let baseline = pipe.scan_all(&single);
+        for workers in [1usize, 2, 4, 7] {
+            assert!(stream(&pipe, &[], workers, 4).is_empty());
+            pipe.clear_caches();
+            assert_eq!(stream(&pipe, &single, workers, 4), baseline, "workers={workers}");
         }
     }
 }

@@ -10,13 +10,12 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use slum_crawler::{
-    crawl_all_resilient, crawl_all_segmented, crawl_all_streaming, replay_restored_loads,
-    CrawlFaultProfile, CrawlHealth, CrawlRecord, RecordChunk, RecordStore,
+    replay_restored_loads, CrawlCheckpointState, CrawlFaultProfile, CrawlHealth, CrawlPlan,
+    CrawlRecord, RecordStore,
 };
 use slum_exchange::TrafficSource;
 use slum_obs::{LocalMetrics, MetricsSnapshot, Registry};
@@ -37,7 +36,7 @@ use slum_js::sandbox::JsEngine;
 
 use crate::scanpipe::{
     effective_scan_workers, scan_key, FaultLog, ScanCaches, ScanOutcome, ScanPipeline,
-    VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
+    ScannedStream, VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
 };
 use crate::shortened::ShortenedRow;
 use crate::substrate::{build_substrate, BuiltSubstrate, SourceMeta, Substrate};
@@ -84,24 +83,15 @@ pub struct StudyConfig {
     /// single checkpoint when the crawl completes. Segment boundaries
     /// never affect results — only checkpoint file cadence.
     pub checkpoint_every: Option<u64>,
-    /// Scan work-unit size: records per chunk pulled by each parallel
-    /// scan worker on the barrier path, and surf slots per streamed
-    /// record chunk on the overlapped path. Chunk size never affects
+    /// Scan work-unit size: records per chunk streamed from each
+    /// source's crawl to the scan workers. Chunk size never affects
     /// results — only scheduling granularity.
     pub scan_chunk: usize,
-    /// Corpus size (regular records) below which the scan phase runs
-    /// serially regardless of `scan_workers` — thread spawn overhead
-    /// and cold shared caches make small parallel scans *slower* than
-    /// serial. Set to 0 to always honor `scan_workers`.
+    /// Planned surf slots below which the scan runs on one worker
+    /// regardless of `scan_workers` — thread spawn overhead and cold
+    /// shared caches make small parallel scans *slower* than serial.
+    /// Set to 0 to always honor `scan_workers`.
     pub serial_scan_threshold: usize,
-    /// Overlap the crawl and scan phases: crawl workers stream
-    /// sequence-numbered record chunks through a bounded channel and
-    /// scan workers consume them while the crawl is still running.
-    /// Results are bit-identical to the phase-barrier path. Mutually
-    /// exclusive with `checkpoint_every`; a non-inert `fault_profile`
-    /// forces the barrier path (the fault plan needs the full corpus)
-    /// and counts `scan.pipeline.fault_fallback`.
-    pub overlap_scan: bool,
     /// JavaScript engine for the scan phase's sandboxed execution: the
     /// bytecode VM (default, with the shared compiled-module cache) or
     /// the tree-walking interpreter (the differential oracle). Scan
@@ -128,7 +118,6 @@ impl Default for StudyConfig {
             checkpoint_every: None,
             scan_chunk: DEFAULT_SCAN_CHUNK,
             serial_scan_threshold: DEFAULT_SERIAL_SCAN_THRESHOLD,
-            overlap_scan: false,
             js_engine: JsEngine::default(),
             substrate: Substrate::default(),
         }
@@ -247,14 +236,6 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Enables or disables the overlapped (streaming) crawl→scan
-    /// pipeline (validated at [`Self::build`]; incompatible with
-    /// checkpointing).
-    pub fn overlap_scan(mut self, overlap: bool) -> Self {
-        self.config.overlap_scan = overlap;
-        self
-    }
-
     /// Selects the scan-phase JavaScript engine.
     pub fn js_engine(mut self, engine: JsEngine) -> Self {
         self.config.js_engine = engine;
@@ -327,9 +308,6 @@ impl StudyConfigBuilder {
         if self.config.scan_chunk == 0 {
             return Err(ConfigError::ZeroScanChunk);
         }
-        if self.config.overlap_scan && self.config.checkpoint_every.is_some() {
-            return Err(ConfigError::OverlapWithCheckpoint);
-        }
         Ok(self.config)
     }
 }
@@ -370,10 +348,6 @@ pub enum ConfigError {
     /// `scan_chunk` was zero — a work unit must hold at least one
     /// record.
     ZeroScanChunk,
-    /// `overlap_scan` was combined with `checkpoint_every` — the
-    /// streaming pipeline never materializes the per-exchange stores a
-    /// crawl checkpoint persists.
-    OverlapWithCheckpoint,
     /// The JS engine name did not parse (see
     /// [`slum_js::sandbox::JsEngine::parse`]).
     UnknownJsEngine {
@@ -411,9 +385,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroScanChunk => {
                 write!(f, "scan_chunk must be at least 1 record")
             }
-            ConfigError::OverlapWithCheckpoint => {
-                write!(f, "overlap_scan cannot be combined with crawl checkpointing")
-            }
             ConfigError::UnknownJsEngine { name } => {
                 write!(f, "unknown JS engine {name:?} (expected vm or interp)")
             }
@@ -430,23 +401,6 @@ impl std::error::Error for ConfigError {}
 /// count), falling back to 4 where it cannot be queried.
 pub fn default_scan_workers() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
-}
-
-/// Wall-clock spent in each phase of [`Study::run_timed`].
-///
-/// Superseded by the `phase.*` spans in [`Study::metrics`] — this
-/// struct is now derived from those spans and kept for callers that
-/// predate the observability layer.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseTimings {
-    /// Web population + exchange construction.
-    pub build: std::time::Duration,
-    /// Parallel crawl of the nine exchanges.
-    pub crawl: std::time::Duration,
-    /// Referral classification + the (possibly parallel) scan phase.
-    pub scan: std::time::Duration,
-    /// Scan workers actually used.
-    pub scan_workers: usize,
 }
 
 /// A completed study: the corpus, verdicts, and every derived artifact.
@@ -470,24 +424,21 @@ pub struct Study {
     obs: Registry,
 }
 
-/// How the crawl phase of [`Study::run_pipeline`] executes.
-enum CrawlMode<'a> {
-    /// In-memory crawl, no checkpoint I/O (the historical path).
-    Direct,
-    /// Segmented crawl writing a checkpoint file after every round.
-    Checkpointed {
-        /// Checkpoint directory.
-        dir: &'a Path,
-        /// Restore the latest checkpoint in `dir` before crawling.
-        resume: bool,
-        /// Abandon the run after this many rounds (simulated crash).
-        kill_after_round: Option<u64>,
-        /// When every generation proves corrupt at resume, restart the
-        /// crawl from scratch instead of failing — the cooperative
-        /// scheduler's stance (a wiped checkpoint dir costs progress,
-        /// never the study). Explicit `resume_from` stays strict.
-        fallback_fresh: bool,
-    },
+/// The checkpoint side of a [`Study::run_pipeline`] call: segment
+/// rounds that write a checkpoint file after every round. Without one,
+/// the crawl runs in a single round with no checkpoint I/O.
+struct Checkpointing<'a> {
+    /// Checkpoint directory.
+    dir: &'a Path,
+    /// Restore the latest checkpoint in `dir` before crawling.
+    resume: bool,
+    /// Abandon the run after this many rounds (simulated crash).
+    kill_after_round: Option<u64>,
+    /// When every generation proves corrupt at resume, restart the
+    /// crawl from scratch instead of failing — the cooperative
+    /// scheduler's stance (a wiped checkpoint dir costs progress, never
+    /// the study). Explicit `resume_from` stays strict.
+    fallback_fresh: bool,
 }
 
 /// Crawl-resume bookkeeping for the `crawl.resume.*` counters.
@@ -506,7 +457,7 @@ struct ResumeStats {
 impl Study {
     /// Runs the full pipeline.
     pub fn run(config: &StudyConfig) -> Study {
-        match Study::run_pipeline(config, CrawlMode::Direct, None) {
+        match Study::run_pipeline(config, None, None) {
             Ok(Some(study)) => study,
             Ok(None) => unreachable!("direct runs are never killed"),
             Err(e) => unreachable!("direct runs do no checkpoint I/O: {e}"),
@@ -521,13 +472,13 @@ impl Study {
     ///
     /// Propagates checkpoint I/O and serialization failures.
     pub fn run_checkpointed(config: &StudyConfig, dir: &Path) -> Result<Study, CheckpointError> {
-        let mode = CrawlMode::Checkpointed {
+        let checkpointing = Checkpointing {
             dir,
             resume: false,
             kill_after_round: None,
             fallback_fresh: false,
         };
-        Ok(Study::run_pipeline(config, mode, None)?.expect("unkilled runs complete"))
+        Ok(Study::run_pipeline(config, Some(checkpointing), None)?.expect("unkilled runs complete"))
     }
 
     /// Like [`Study::run_checkpointed`], but abandons the run after
@@ -544,13 +495,13 @@ impl Study {
         dir: &Path,
         kill_after_round: u64,
     ) -> Result<Option<Study>, CheckpointError> {
-        let mode = CrawlMode::Checkpointed {
+        let checkpointing = Checkpointing {
             dir,
             resume: false,
             kill_after_round: Some(kill_after_round),
             fallback_fresh: false,
         };
-        Study::run_pipeline(config, mode, None)
+        Study::run_pipeline(config, Some(checkpointing), None)
     }
 
     /// Resumes an interrupted run from the latest checkpoint in `dir`
@@ -563,13 +514,13 @@ impl Study {
     /// Fails on missing/corrupt checkpoints and on configuration
     /// mismatches between the checkpoint and `config`.
     pub fn resume_from(config: &StudyConfig, dir: &Path) -> Result<Study, CheckpointError> {
-        let mode = CrawlMode::Checkpointed {
+        let checkpointing = Checkpointing {
             dir,
             resume: true,
             kill_after_round: None,
             fallback_fresh: false,
         };
-        Ok(Study::run_pipeline(config, mode, None)?.expect("unkilled runs complete"))
+        Ok(Study::run_pipeline(config, Some(checkpointing), None)?.expect("unkilled runs complete"))
     }
 
     /// One cooperative scheduling slice of a checkpointed study: crawls
@@ -598,19 +549,14 @@ impl Study {
         shared_caches: Option<Arc<ScanCaches>>,
     ) -> Result<Option<Study>, CheckpointError> {
         let resume = !CheckpointStore::open(dir)?.list()?.is_empty();
-        let mode =
-            CrawlMode::Checkpointed {
-                dir,
-                resume,
-                kill_after_round: Some(rounds),
-                fallback_fresh: true,
-            };
-        Study::run_pipeline(config, mode, shared_caches)
+        let checkpointing =
+            Checkpointing { dir, resume, kill_after_round: Some(rounds), fallback_fresh: true };
+        Study::run_pipeline(config, Some(checkpointing), shared_caches)
     }
 
     fn run_pipeline(
         config: &StudyConfig,
-        mode: CrawlMode<'_>,
+        checkpointing: Option<Checkpointing<'_>>,
         shared_caches: Option<Arc<ScanCaches>>,
     ) -> Result<Option<Study>, CheckpointError> {
         let obs = Registry::new();
@@ -627,179 +573,137 @@ impl Study {
             build_substrate(config)
         };
         let planned: u64 = steps.values().sum();
-
-        // 2. Crawl every source in parallel; each crawl returns its
-        //    per-worker counter buffer, merged here at phase end.
-        //    Every mode funnels through the same segment driver, so the
-        //    records are bit-identical across modes, checkpoint cadence
-        //    and resume points.
         let step_fn = |x: &Box<dyn TrafficSource + Send>| {
             *steps.get(x.name()).expect("known source")
         };
 
-        // Overlapped (streaming) pipeline: only on the direct path —
-        // checkpointing needs the per-exchange stores the stream never
-        // materializes — and only with an inert scan-fault profile,
-        // because a fault plan is compiled from the *complete* corpus.
-        // Ineligible overlap requests fall through to the barrier path
-        // below and are counted as `scan.pipeline.fault_fallback`.
-        if config.overlap_scan
-            && matches!(mode, CrawlMode::Direct)
-            && config.fault_profile.is_inert()
-        {
-            let (store, outcomes, referrals, health) = run_overlapped(
-                config,
-                &obs,
-                &web,
-                &mut traffic,
-                &step_fn,
-                &filter,
-                planned,
-                shared_caches,
-            );
-            record_substrate_tallies(&obs, config.substrate, meta.len(), store.len() as u64);
-            return Ok(Some(Study {
-                web,
-                store,
-                outcomes,
-                referrals,
-                health,
-                sources: meta,
-                config: config.clone(),
-                obs,
-            }));
-        }
-
-        let (store, health) = {
-            let _span = obs.span("phase.crawl");
-            let (store, stats, health, resume_stats) = match mode {
-                CrawlMode::Direct => {
-                    let (store, stats, health) = crawl_all_resilient(
-                        &web,
-                        &mut traffic,
-                        config.seed,
-                        &config.crawl_fault_profile,
-                        step_fn,
-                    );
-                    (store, stats, health, ResumeStats::default())
-                }
-                CrawlMode::Checkpointed { dir, resume, kill_after_round, fallback_fresh } => {
-                    let ckpt = CheckpointStore::open(dir)?
-                        .with_disk_faults(config.disk_fault_profile.clone(), config.seed);
-                    let (resume_state, resume_stats) = if resume {
-                        match ckpt.load_latest() {
-                            Ok((header, state)) => {
-                                header.verify(config)?;
-                                // The web above was rebuilt from seed;
-                                // replay the restored records' browser
-                                // loads so the crawl-phase web mutations
-                                // (shortener hits) survive the simulated
-                                // crash.
-                                let loads_replayed =
-                                    replay_restored_loads(&web, &traffic, &state);
-                                let stats = ResumeStats {
-                                    segments_restored: state.round,
-                                    records_restored: state.records_total(),
-                                    loads_replayed,
-                                };
-                                (Some(state), stats)
-                            }
-                            Err(CheckpointError::Quarantined { .. }) if fallback_fresh => {
-                                // Every generation was corrupt and is
-                                // now quarantined: restart the crawl
-                                // from scratch. Deterministic re-crawl
-                                // makes this cost progress, not
-                                // correctness.
-                                (None, ResumeStats::default())
-                            }
-                            Err(e) => return Err(e),
+        // 2. One crawl plan for every entry point. Checkpointed runs add
+        //    segment rounds, a checkpoint save after each, a resume
+        //    state and a kill point; every fault and RNG decision is
+        //    keyed to cursor position, so none of these moves a record.
+        let mut plan =
+            CrawlPlan::new(config.seed).fault_profile(config.crawl_fault_profile.clone());
+        let mut resume_stats = ResumeStats::default();
+        let mut stops_early = false;
+        let ckpt = match checkpointing {
+            None => None,
+            Some(Checkpointing { dir, resume, kill_after_round, fallback_fresh }) => {
+                let ckpt = CheckpointStore::open(dir)?
+                    .with_disk_faults(config.disk_fault_profile.clone(), config.seed);
+                plan = plan.segment_budget(config.checkpoint_every.unwrap_or(u64::MAX));
+                if resume {
+                    match ckpt.load_latest() {
+                        Ok((header, state)) => {
+                            header.verify(config)?;
+                            // The web above was rebuilt from seed; replay
+                            // the restored records' browser loads so the
+                            // crawl-phase web mutations (shortener hits)
+                            // survive the simulated crash.
+                            resume_stats = ResumeStats {
+                                segments_restored: state.round,
+                                records_restored: state.records_total(),
+                                loads_replayed: replay_restored_loads(&web, &traffic, &state),
+                            };
+                            plan = plan.resume(state);
                         }
-                    } else {
-                        (None, ResumeStats::default())
-                    };
-                    let header = CheckpointHeader::for_config(config);
-                    let outcome = crawl_all_segmented(
-                        &web,
-                        &mut traffic,
-                        config.seed,
-                        &config.crawl_fault_profile,
-                        step_fn,
-                        config.checkpoint_every.unwrap_or(u64::MAX),
-                        resume_state,
-                        kill_after_round,
-                        // An injected ENOSPC is a skipped checkpoint (a
-                        // cadence hole the next round's save closes),
-                        // never a crawl abort.
-                        &mut |_round, state| match ckpt.save(&header, state) {
-                            Ok(_) | Err(CheckpointError::DiskFull { .. }) => Ok(()),
-                            Err(e) => Err(e),
-                        },
-                    )?;
-                    record_ckpt_tallies(&obs, ckpt.stats());
-                    if !outcome.finished {
-                        // Simulated crash: the checkpoints are on disk,
-                        // the study is abandoned here.
-                        return Ok(None);
+                        // Every generation was corrupt and is now
+                        // quarantined: restart the crawl from scratch.
+                        // Deterministic re-crawl makes this cost
+                        // progress, not correctness.
+                        Err(CheckpointError::Quarantined { .. }) if fallback_fresh => {}
+                        Err(e) => return Err(e),
                     }
-                    let (store, stats, health) = outcome.state.finish();
-                    (store, stats, health, resume_stats)
                 }
-            };
-            for (_, s) in &stats {
-                obs.merge_local(&s.metrics);
+                if let Some(rounds) = kill_after_round {
+                    plan = plan.stop_after_round(rounds);
+                    stops_early = true;
+                }
+                Some((ckpt, CheckpointHeader::for_config(config)))
             }
-            record_crawl_fault_tallies(&obs, &health, &resume_stats);
-            (store, health)
         };
-        record_substrate_tallies(&obs, config.substrate, meta.len(), store.len() as u64);
+        // An injected ENOSPC is a skipped checkpoint (a cadence hole the
+        // next round's save closes), never a crawl abort.
+        let mut on_round = |_round: u64, state: &CrawlCheckpointState| match &ckpt {
+            Some((store, header)) => match store.save(header, state) {
+                Ok(_) | Err(CheckpointError::DiskFull { .. }) => Ok(()),
+                Err(e) => Err(e),
+            },
+            None => Ok(()),
+        };
 
-        // 3. Classify referrals, then scan every *regular* record
-        //    across the configured worker count.
-        let (outcomes, referrals) = {
-            let _span = obs.span("phase.scan");
-            let referrals: Vec<ReferralClass> =
-                store.records().iter().map(|r| filter.classify(r)).collect();
-            record_filter_counts(&obs, &referrals);
-
-            let mut pipeline = ScanPipeline::new(&web).with_js_engine(config.js_engine);
-            if let Some(caches) = shared_caches {
-                pipeline = pipeline.with_shared_caches(caches);
+        // 3. Stream the crawl into the scan: source threads send record
+        //    chunks as they crawl, scan workers consume them. The scan
+        //    waits for the end of the stream only when a scan-fault plan
+        //    is active (it is compiled over the *whole* corpus in
+        //    virtual-arrival order) or the call may stop before the
+        //    crawl ends (such a call scans nothing); then a plan resumed
+        //    from the finished crawl streams its records without
+        //    crawling. Workers are chosen before the corpus exists, from
+        //    the planned surf slots (an upper bound on records).
+        let workers = effective_scan_workers(
+            planned as usize,
+            config.scan_workers,
+            config.serial_scan_threshold,
+        );
+        let latency = obs.histogram("scan.record_nanos");
+        let mut pipeline = ScanPipeline::new(&web).with_js_engine(config.js_engine);
+        if let Some(caches) = shared_caches {
+            pipeline = pipeline.with_shared_caches(caches);
+        }
+        let crawl_start = Instant::now();
+        let mut crawl_end = None;
+        if stops_early || !config.fault_profile.is_inert() {
+            let crawled = plan.run_segmented(&web, &mut traffic, step_fn, &mut on_round)?;
+            crawl_end = Some(Instant::now());
+            if !crawled.finished {
+                // Simulated crash or an unfinished slice: the
+                // checkpoints are on disk, the study is abandoned here.
+                return Ok(None);
             }
             if !config.fault_profile.is_inert() {
-                // Compile the fault schedule from the *corpus* (regular
-                // records in virtual-arrival order), never from scan
-                // scheduling — the determinism contract across worker
-                // counts hangs on this.
-                let requests: Vec<(String, u64)> = store
-                    .records()
-                    .iter()
-                    .zip(&referrals)
-                    .filter(|(_, class)| **class == ReferralClass::Regular)
-                    .map(|(record, _)| (scan_key(record), record.at))
-                    .collect();
-                let plan = FaultPlan::compile(&config.fault_profile, config.seed, &requests);
+                let plan = corpus_fault_plan(config, &filter, &crawled.state);
                 pipeline = pipeline.with_fault_plan(plan);
             }
-            let (outcomes, scan_workers) =
-                scan_phase(&pipeline, store.records(), &referrals, config, &obs);
-            obs.gauge("scan.workers").set(scan_workers as i64);
-            record_cache_stats(&obs, &pipeline);
-            record_js_vm_stats(&obs, &pipeline);
-            record_outcome_tallies(&obs, &outcomes, &referrals);
-            record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
-            record_pipeline_tallies(
-                &obs,
-                &PipelineTally {
-                    chunks: 0,
-                    records_streamed: 0,
-                    // An overlap request that reached the barrier path
-                    // was forced here (checkpointing or a fault plan).
-                    fault_fallback: u64::from(config.overlap_scan),
-                    overlapped: false,
-                },
-            );
-            (outcomes, referrals)
-        };
+            plan = CrawlPlan::new(config.seed).resume(crawled.state);
+        }
+        let ScannedStream { produced: crawled, chunks, referrals, outcomes, metrics } =
+            pipeline.scan_stream(&filter, workers, &latency, |sink| {
+                let crawled = plan.chunk_sink(sink, config.scan_chunk).run_segmented(
+                    &web,
+                    &mut traffic,
+                    step_fn,
+                    &mut on_round,
+                );
+                crawl_end.get_or_insert_with(Instant::now);
+                crawled
+            });
+        let crawl_end = crawl_end.expect("the crawl has returned");
+        // Spans that add up: the crawl producer's wall time, then the
+        // scan tail the stream did not hide.
+        obs.record_span("phase.crawl", crawl_end - crawl_start);
+        obs.record_span("phase.scan", crawl_end.elapsed());
+        let crawled = crawled?;
+        debug_assert!(crawled.finished, "only runs that may stop early defer the scan");
+        if let Some((store, _)) = &ckpt {
+            record_ckpt_tallies(&obs, store.stats());
+        }
+
+        let (store, stats, health) = crawled.state.finish();
+        assert_eq!(outcomes.len(), store.len(), "one scan outcome per record");
+        for (_, s) in &stats {
+            obs.merge_local(&s.metrics);
+        }
+        obs.merge_local(&metrics);
+        record_crawl_fault_tallies(&obs, &health, &resume_stats);
+        record_substrate_tallies(&obs, config.substrate, meta.len(), store.len() as u64);
+        record_filter_counts(&obs, &referrals);
+        obs.gauge("scan.workers").set(workers as i64);
+        record_cache_stats(&obs, &pipeline);
+        record_js_vm_stats(&obs, &pipeline);
+        record_outcome_tallies(&obs, &outcomes, &referrals);
+        record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
+        obs.counter("scan.pipeline.chunks").add(chunks);
+        obs.counter("scan.pipeline.records_streamed").add(store.len() as u64);
 
         Ok(Some(Study {
             web,
@@ -811,20 +715,6 @@ impl Study {
             config: config.clone(),
             obs,
         }))
-    }
-
-    /// Runs the full pipeline, reporting per-phase wall-clock timings
-    /// (derived from the `phase.*` spans in [`Study::metrics`]).
-    pub fn run_timed(config: &StudyConfig) -> (Study, PhaseTimings) {
-        let study = Study::run(config);
-        let snapshot = study.metrics();
-        let timings = PhaseTimings {
-            build: snapshot.span_duration("phase.build"),
-            crawl: snapshot.span_duration("phase.crawl"),
-            scan: snapshot.span_duration("phase.scan"),
-            scan_workers: snapshot.gauge("scan.workers").max(1) as usize,
-        };
-        (study, timings)
     }
 
     /// The configuration the study ran with.
@@ -956,7 +846,6 @@ fn record_config(obs: &Registry, config: &StudyConfig) {
     obs.gauge("config.checkpoint_every").set(config.checkpoint_every.unwrap_or(0) as i64);
     obs.gauge("config.scan_chunk").set(config.scan_chunk as i64);
     obs.gauge("config.serial_scan_threshold").set(config.serial_scan_threshold as i64);
-    obs.gauge("config.overlap").set(i64::from(config.overlap_scan));
     obs.gauge("config.js_engine_vm").set(i64::from(config.js_engine == JsEngine::Vm));
     obs.gauge("config.substrate")
         .set(Substrate::ALL.iter().position(|s| *s == config.substrate).unwrap_or(0) as i64);
@@ -1158,321 +1047,22 @@ fn record_fault_tallies(
     }
 }
 
-/// Scans every Regular record across the effective worker count and
-/// splices the results back into record order; Self/Popular referrals
-/// get an inert clean outcome so indices stay aligned.
-///
-/// Worker selection goes through
-/// [`effective_scan_workers`] — small corpora run serially (below
-/// `config.serial_scan_threshold`) and the count is clamped to the
-/// host's parallelism. Parallel work is distributed as
-/// `config.scan_chunk`-sized chunks pulled from a shared atomic index,
-/// so no worker idles behind one unlucky contiguous stretch; chunks are
-/// reassembled in index order, keeping the output bit-identical to the
-/// serial path. Each worker buffers its counters in a [`LocalMetrics`]
-/// and records per-record latencies into the shared `scan.record_nanos`
-/// histogram; the buffers merge into `obs` once the phase ends. Returns
-/// the outcomes and the worker count actually used.
-fn scan_phase(
-    pipeline: &ScanPipeline<'_>,
-    records: &[CrawlRecord],
-    referrals: &[ReferralClass],
+/// Compiles the scan-fault schedule from the *corpus* (regular records
+/// in virtual-arrival order), never from scan scheduling — the
+/// determinism contract across worker counts hangs on this.
+fn corpus_fault_plan(
     config: &StudyConfig,
-    obs: &Registry,
-) -> (Vec<ScanOutcome>, usize) {
-    let regular_idx: Vec<usize> = referrals
-        .iter()
-        .enumerate()
-        .filter(|(_, class)| **class == ReferralClass::Regular)
-        .map(|(i, _)| i)
-        .collect();
-    let workers = effective_scan_workers(
-        regular_idx.len(),
-        config.scan_workers,
-        config.serial_scan_threshold,
-    );
-    let latency = obs.histogram("scan.record_nanos");
-
-    let scan_slice = |chunk: &[usize]| -> (Vec<ScanOutcome>, LocalMetrics) {
-        let mut local = LocalMetrics::new();
-        let outcomes = chunk
-            .iter()
-            .map(|&i| {
-                let t0 = Instant::now();
-                let outcome = pipeline.scan(&records[i]);
-                latency.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                local.inc("scan.scans");
-                outcome
-            })
-            .collect();
-        (outcomes, local)
-    };
-
-    let scanned: Vec<ScanOutcome> = if workers == 1 {
-        let (outcomes, local) = scan_slice(&regular_idx);
-        obs.merge_local(&local);
-        outcomes
-    } else {
-        let chunk = config.scan_chunk.max(1);
-        let n_chunks = regular_idx.len().div_ceil(chunk);
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let scan_slice = &scan_slice;
-                    let regular_idx = &regular_idx;
-                    scope.spawn(move |_| {
-                        let mut parts: Vec<(usize, Vec<ScanOutcome>)> = Vec::new();
-                        let mut local = LocalMetrics::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * chunk;
-                            let hi = (lo + chunk).min(regular_idx.len());
-                            let (outcomes, chunk_local) = scan_slice(&regular_idx[lo..hi]);
-                            local.merge(&chunk_local);
-                            parts.push((c, outcomes));
-                        }
-                        (parts, local)
-                    })
-                })
-                .collect();
-            let mut by_chunk: Vec<Option<Vec<ScanOutcome>>> = vec![None; n_chunks];
-            for handle in handles {
-                let (parts, local) = handle.join().expect("scan worker panicked");
-                obs.merge_local(&local);
-                for (c, outcomes) in parts {
-                    by_chunk[c] = Some(outcomes);
-                }
-            }
-            let mut merged = Vec::with_capacity(regular_idx.len());
-            for outcomes in by_chunk {
-                merged.extend(outcomes.expect("every chunk scanned exactly once"));
-            }
-            merged
-        })
-        .expect("scan scope panicked")
-    };
-
-    let mut scanned = scanned.into_iter();
-    let outcomes = records
-        .iter()
-        .zip(referrals)
-        .map(|(record, class)| match class {
-            ReferralClass::Regular => scanned.next().expect("one scan per regular record"),
-            // Self/popular referrals are excluded from analysis; give
-            // them an inert clean outcome so indices stay aligned.
-            _ => clean_outcome(record),
-        })
-        .collect();
-    (outcomes, workers)
-}
-
-/// Capacity of the crawl→scan chunk channel in the overlapped
-/// pipeline. Bounds the records in flight between the two sides — at
-/// most this many chunks (each at most `scan_chunk` surf slots' worth)
-/// plus what each worker holds; a full channel back-pressures the crawl
-/// threads instead of buffering the whole corpus.
-const PIPELINE_CHANNEL_CAP: usize = 32;
-
-/// What the streaming pipeline did this run — all-zero on the barrier
-/// path, so the `scan.pipeline.*` counters stay always-present and
-/// deterministic whether or not overlap ran (the same convention the
-/// fault and resume counters follow).
-struct PipelineTally {
-    /// Record chunks streamed crawl→scan.
-    chunks: u64,
-    /// Records carried by those chunks.
-    records_streamed: u64,
-    /// 1 when overlap was requested but the barrier path ran instead
-    /// (checkpointing or a non-inert scan-fault profile).
-    fault_fallback: u64,
-    /// Whether the overlapped path actually ran (gauge).
-    overlapped: bool,
-}
-
-fn record_pipeline_tallies(obs: &Registry, tally: &PipelineTally) {
-    obs.counter("scan.pipeline.chunks").add(tally.chunks);
-    obs.counter("scan.pipeline.records_streamed").add(tally.records_streamed);
-    obs.counter("scan.pipeline.fault_fallback").add(tally.fault_fallback);
-    obs.gauge("scan.pipeline.overlap").set(i64::from(tally.overlapped));
-}
-
-/// One streamed chunk after scanning, awaiting reassembly.
-struct ScannedChunk {
-    exchange_index: usize,
-    chunk_seq: u64,
-    records: Vec<CrawlRecord>,
-    referrals: Vec<ReferralClass>,
-    outcomes: Vec<ScanOutcome>,
-}
-
-/// The overlapped crawl→scan pipeline: one crawl producer (fanning out
-/// to one thread per exchange) streams sequence-numbered record chunks
-/// through a bounded channel while scan workers consume them, so
-/// scanning starts on the first chunk instead of after the last crawl
-/// step. Scanned chunks are reassembled in `(exchange_index,
-/// chunk_seq)` order, which reproduces the barrier path's merged store
-/// exactly — records, referral classes, outcomes and every
-/// deterministic counter are bit-identical for all worker counts and
-/// chunk sizes.
-///
-/// The `phase.crawl` span covers the producer and `phase.scan` the
-/// whole overlapped region, so their wall-clock now overlaps — the
-/// saving the streaming restructure exists to win.
-fn run_overlapped<S, F>(
-    config: &StudyConfig,
-    obs: &Registry,
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    step_fn: &F,
     filter: &ReferralFilter,
-    planned: u64,
-    shared_caches: Option<Arc<ScanCaches>>,
-) -> (RecordStore, Vec<ScanOutcome>, Vec<ReferralClass>, Vec<CrawlHealth>)
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    let mut pipeline = ScanPipeline::new(web).with_js_engine(config.js_engine);
-    if let Some(caches) = shared_caches {
-        pipeline = pipeline.with_shared_caches(caches);
-    }
-    let latency = obs.histogram("scan.record_nanos");
-    // Worker selection needs a corpus size before the corpus exists;
-    // the planned surf slots are an exact upper bound on records (and
-    // equal to them under an inert crawl-fault profile).
-    let scan_workers = effective_scan_workers(
-        planned as usize,
-        config.scan_workers,
-        config.serial_scan_threshold,
-    );
-    let (tx, rx) = crossbeam::channel::bounded::<RecordChunk>(PIPELINE_CHANNEL_CAP);
-    let results: Mutex<Vec<ScannedChunk>> = Mutex::new(Vec::new());
-
-    let (stats, health) = crossbeam::thread::scope(|scope| {
-        let _scan_span = obs.span("phase.scan");
-        let producer = scope.spawn(move |_| {
-            let _span = obs.span("phase.crawl");
-            crawl_all_streaming(
-                web,
-                sources,
-                config.seed,
-                &config.crawl_fault_profile,
-                step_fn,
-                config.scan_chunk as u64,
-                tx,
-            )
-        });
-        let consumers: Vec<_> = (0..scan_workers)
-            .map(|_| {
-                let rx = rx.clone();
-                let results = &results;
-                let pipeline = &pipeline;
-                let filter = &filter;
-                let latency = &latency;
-                scope.spawn(move |_| {
-                    let mut local = LocalMetrics::new();
-                    while let Ok(chunk) = rx.recv() {
-                        let referrals: Vec<ReferralClass> =
-                            chunk.records.iter().map(|r| filter.classify(r)).collect();
-                        let outcomes: Vec<ScanOutcome> = chunk
-                            .records
-                            .iter()
-                            .zip(&referrals)
-                            .map(|(record, class)| {
-                                if *class == ReferralClass::Regular {
-                                    let t0 = Instant::now();
-                                    let outcome = pipeline.scan(record);
-                                    latency.record(
-                                        u64::try_from(t0.elapsed().as_nanos())
-                                            .unwrap_or(u64::MAX),
-                                    );
-                                    local.inc("scan.scans");
-                                    outcome
-                                } else {
-                                    clean_outcome(record)
-                                }
-                            })
-                            .collect();
-                        results.lock().expect("chunk results poisoned").push(ScannedChunk {
-                            exchange_index: chunk.exchange_index,
-                            chunk_seq: chunk.chunk_seq,
-                            records: chunk.records,
-                            referrals,
-                            outcomes,
-                        });
-                    }
-                    local
-                })
-            })
-            .collect();
-        drop(rx);
-        let (stats, health) = producer.join().expect("crawl producer panicked");
-        for consumer in consumers {
-            let local = consumer.join().expect("scan consumer panicked");
-            obs.merge_local(&local);
-        }
-        (stats, health)
-    })
-    .expect("pipeline scope panicked");
-
-    for (_, s) in &stats {
-        obs.merge_local(&s.metrics);
-    }
-    record_crawl_fault_tallies(obs, &health, &ResumeStats::default());
-
-    let mut chunks = results.into_inner().expect("chunk results poisoned");
-    chunks.sort_unstable_by_key(|c| (c.exchange_index, c.chunk_seq));
-    let n_chunks = chunks.len() as u64;
-    let mut store = RecordStore::new();
-    let mut outcomes = Vec::new();
-    let mut referrals = Vec::new();
-    for chunk in chunks {
-        store.extend(chunk.records);
-        referrals.extend(chunk.referrals);
-        outcomes.extend(chunk.outcomes);
-    }
-
-    record_filter_counts(obs, &referrals);
-    obs.gauge("scan.workers").set(scan_workers as i64);
-    record_cache_stats(obs, &pipeline);
-    record_js_vm_stats(obs, &pipeline);
-    record_outcome_tallies(obs, &outcomes, &referrals);
-    record_fault_tallies(obs, &outcomes, &referrals, None);
-    record_pipeline_tallies(
-        obs,
-        &PipelineTally {
-            chunks: n_chunks,
-            records_streamed: store.len() as u64,
-            fault_fallback: 0,
-            overlapped: true,
-        },
-    );
-    (store, outcomes, referrals, health)
-}
-
-fn clean_outcome(record: &CrawlRecord) -> ScanOutcome {
-    ScanOutcome {
-        malicious: false,
-        vt: slum_detect::virustotal::VtReport {
-            detections: Vec::new(),
-            total_engines: 0,
-            threshold: 2,
-        },
-        quttera: slum_detect::quttera::QutteraReport {
-            url: record.url.clone(),
-            findings: Vec::new(),
-            verdict: slum_detect::quttera::QutteraVerdict::Clean,
-        },
-        blacklisted_domain: None,
-        needed_content_upload: false,
-        source: VerdictSource::Full,
-        faults: FaultLog::default(),
-    }
+    state: &CrawlCheckpointState,
+) -> FaultPlan {
+    let requests: Vec<(String, u64)> = state
+        .stores
+        .iter()
+        .flat_map(RecordStore::records)
+        .filter(|record| filter.classify(record) == ReferralClass::Regular)
+        .map(|record| (scan_key(record), record.at))
+        .collect();
+    FaultPlan::compile(&config.fault_profile, config.seed, &requests)
 }
 
 #[cfg(test)]

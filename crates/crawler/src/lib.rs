@@ -14,9 +14,9 @@
 //!   chain, captured content, HAR) and their store;
 //! - [`drive`] — the auto-surf and manual-surf crawl drivers, including
 //!   the scripted CAPTCHA operator;
-//! - [`run`] — multi-exchange orchestration (one worker per exchange,
-//!   crossbeam-scoped), including the resilient and checkpoint-segmented
-//!   variants;
+//! - [`run`] — multi-exchange orchestration: one entry point, one worker per
+//!   exchange (crossbeam-scoped), with fault profiles, checkpoint
+//!   rounds, resume and a record stream to the scan;
 //! - [`fault`] — named crawl-fault profiles (exchange outages, bans,
 //!   CAPTCHA lockouts, permanent shutdowns, session drops) and the
 //!   per-exchange crawl-health log;
@@ -37,7 +37,6 @@ pub use drive::{crawl_exchange, CrawlConfig, CrawlCursor};
 pub use fault::{CrawlFaultProfile, CrawlHealth};
 pub use record::CrawlRecord;
 pub use run::{
-    crawl_all, crawl_all_resilient, crawl_all_segmented, crawl_all_streaming,
     replay_restored_loads, CrawlCheckpointState, CrawlPlan, RecordChunk,
 };
 pub use slum_exchange::TrafficSource;

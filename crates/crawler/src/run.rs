@@ -1,29 +1,20 @@
 //! Multi-source crawl orchestration.
 //!
-//! One builder, [`CrawlPlan`], configures every crawl mode over any
+//! One builder, [`CrawlPlan`], configures every crawl over any
 //! [`TrafficSource`] substrate (exchanges, ad networks, torrent
-//! indexes), and all modes share one loop implementation
-//! (`drive::crawl_exchange_segment`):
+//! indexes), and one method, [`CrawlPlan::run_segmented`], runs it:
+//! bounded segment rounds, one thread per source, with a checkpoint hook
+//! between rounds, resumable from a [`CrawlCheckpointState`], and —
+//! when a chunk sink is set — every record streamed to the scan as
+//! sequence-numbered [`RecordChunk`]s while the crawl is still running.
+//! All loops share one implementation (`drive::crawl_exchange_segment`).
 //!
-//! - [`CrawlPlan::collect`] — run to completion and return the merged
-//!   store (the historical barrier crawl);
-//! - [`CrawlPlan::run_segmented`] — bounded rounds with a checkpoint
-//!   sink between them, resumable from a [`CrawlCheckpointState`];
-//! - [`CrawlPlan::stream`] — emit sequence-numbered [`RecordChunk`]s
-//!   through a channel as they are produced (the producer half of the
-//!   overlapped crawl→scan pipeline).
-//!
-//! The four historical entry points ([`crawl_all`],
-//! [`crawl_all_resilient`], [`crawl_all_segmented`],
-//! [`crawl_all_streaming`]) are thin delegating wrappers over the plan,
-//! kept so existing callers compile unchanged.
-//!
-//! All modes merge per-source stores in source input order, so the
-//! merged record stream is independent of thread scheduling.
+//! Per-source stores merge in source input order, so the merged record
+//! stream is independent of thread scheduling.
 
+use crossbeam::channel::Sender;
 use crossbeam::thread;
 
-use slum_exchange::lifecycle::ExchangeLifecycle;
 use slum_exchange::TrafficSource;
 use slum_websim::SyntheticWeb;
 
@@ -40,60 +31,76 @@ pub fn exchange_crawl_seed(base_seed: u64, index: usize) -> u64 {
     base_seed.wrapping_add(index as u64 * 7919)
 }
 
-/// Per-source crawl plan: the loop configuration plus the compiled
-/// lifecycle-fault schedule. Shared by the segmented and streaming
-/// drivers so every mode crawls from identical plans.
-fn crawl_plans<S, F>(
-    sources: &[S],
-    base_seed: u64,
-    profile: &CrawlFaultProfile,
-    step_fn: F,
-) -> Vec<(CrawlConfig, ExchangeLifecycle)>
-where
-    S: TrafficSource,
-    F: Fn(&S) -> u64,
-{
-    sources
-        .iter()
-        .enumerate()
-        .map(|(i, x)| {
-            let steps = step_fn(x);
-            let config = CrawlConfig {
-                steps,
-                seed: exchange_crawl_seed(base_seed, i),
-                ..Default::default()
-            };
-            let span = estimated_exchange_span_secs(x, steps);
-            let lifecycle = profile.compile_for(x, base_seed, span);
-            (config, lifecycle)
-        })
-        .collect()
-}
-
-/// One sequence-numbered batch of records emitted by
-/// [`CrawlPlan::stream`]: which source produced it (input index),
-/// where it sits in that source's stream, and the records themselves.
+/// One sequence-numbered batch of records streamed by
+/// [`CrawlPlan::run_segmented`] to its chunk sink: which source produced
+/// it (input index), where it sits in that source's stream, and the
+/// records themselves.
 ///
 /// Sorting chunks by `(exchange_index, chunk_seq)` and concatenating
-/// their records reproduces the merged [`RecordStore`] of
-/// [`CrawlPlan::collect`] exactly — the reassembly contract the
-/// overlapped crawl→scan pipeline relies on.
+/// their records reproduces the merged store of
+/// [`CrawlCheckpointState::finish`] exactly — the reassembly contract
+/// the crawl→scan pipeline relies on.
 #[derive(Debug)]
 pub struct RecordChunk {
     /// Index of the producing source in the input slice.
     pub exchange_index: usize,
     /// 0-based position of this chunk in the source's stream.
     pub chunk_seq: u64,
-    /// The records crawled in this segment, in crawl order.
+    /// The chunk's records, in crawl order.
     pub records: Vec<CrawlRecord>,
 }
 
-/// Builder configuring one multi-source crawl: fault profile, segment /
-/// chunk budget, resume state and kill point. Terminal methods pick the
-/// mode ([`collect`](Self::collect), [`run_segmented`](Self::run_segmented),
-/// [`stream`](Self::stream)); all are generic over [`TrafficSource`]
-/// and crawl from identical per-source plans, so the merged record
-/// stream is bit-identical across modes for a given configuration.
+/// Where [`CrawlPlan::run_segmented`] streams its records, and how many
+/// records go in each chunk.
+#[derive(Debug, Clone)]
+struct ChunkSink {
+    tx: Sender<RecordChunk>,
+    records: usize,
+}
+
+/// One source's side of the chunk stream: records crawled but not yet
+/// sent, and the next chunk's sequence number.
+///
+/// Chunk `k` of a source always holds that source's records
+/// `k * size .. (k + 1) * size`, whatever the segment rounds, kills and
+/// resumes in between — so the chunk sequence of a crawl is a function
+/// of its corpus and the chunk size alone.
+#[derive(Debug, Default)]
+struct ChunkEmitter {
+    pending: Vec<CrawlRecord>,
+    next_seq: u64,
+}
+
+impl ChunkEmitter {
+    /// Queues copies of `records`, sends every chunk that fills, and —
+    /// once the source is `done` — the remainder.
+    fn feed(&mut self, sink: &ChunkSink, index: usize, records: &[CrawlRecord], done: bool) {
+        for record in records {
+            self.pending.push(record.clone());
+            if self.pending.len() == sink.records {
+                self.send(sink, index);
+            }
+        }
+        if done && !self.pending.is_empty() {
+            self.send(sink, index);
+        }
+    }
+
+    fn send(&mut self, sink: &ChunkSink, exchange_index: usize) {
+        let records = std::mem::take(&mut self.pending);
+        // A send fails only once every receiver is gone; the crawl still
+        // completes, so its stores, stats and health stay whole.
+        let _ = sink.tx.send(RecordChunk { exchange_index, chunk_seq: self.next_seq, records });
+        self.next_seq += 1;
+    }
+}
+
+/// Builder configuring one multi-source crawl: fault profile, segment
+/// budget, resume state, kill point and chunk sink, all run by
+/// [`run_segmented`](Self::run_segmented). Generic over
+/// [`TrafficSource`]; every fault and RNG decision is keyed to cursor
+/// position, so the merged record stream is bit-identical for every
+/// configuration of the same seed and fault profile.
 #[derive(Debug, Clone, Default)]
 pub struct CrawlPlan {
     base_seed: u64,
@@ -101,11 +108,12 @@ pub struct CrawlPlan {
     segment_budget: Option<u64>,
     resume: Option<CrawlCheckpointState>,
     stop_after_round: Option<u64>,
+    sink: Option<ChunkSink>,
 }
 
 impl CrawlPlan {
     /// A plan seeded with the study seed: inert fault profile, unbounded
-    /// segments, no resume state.
+    /// segments, no resume state, no chunk sink.
     pub fn new(base_seed: u64) -> Self {
         CrawlPlan { base_seed, ..Default::default() }
     }
@@ -117,7 +125,7 @@ impl CrawlPlan {
         self
     }
 
-    /// Bound each segment round / stream chunk to `budget` surf slots
+    /// Bound each segment round to `budget` surf slots per source
     /// (default: unbounded). Must be positive.
     #[must_use]
     pub fn segment_budget(mut self, budget: u64) -> Self {
@@ -142,29 +150,17 @@ impl CrawlPlan {
         self
     }
 
-    fn budget(&self) -> u64 {
-        self.segment_budget.unwrap_or(u64::MAX)
-    }
-
-    /// Runs the crawl to completion and returns the merged store,
-    /// per-source stats and health logs — the barrier mode.
-    pub fn collect<S, F>(
-        self,
-        web: &SyntheticWeb,
-        sources: &mut [S],
-        step_fn: F,
-    ) -> (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>)
-    where
-        S: TrafficSource + Send,
-        F: Fn(&S) -> u64 + Sync,
-    {
-        let outcome = self
-            .run_segmented::<S, F, std::convert::Infallible>(web, sources, step_fn, &mut |_, _| {
-                Ok(())
-            })
-            .expect("infallible checkpoint sink");
-        debug_assert!(outcome.finished);
-        outcome.state.finish()
+    /// Also stream every record to `sink`, in chunks of `records`
+    /// records per source (must be positive). Records restored from the
+    /// resume state lead each source's stream; the sink is dropped when
+    /// the crawl returns. A run stopped early by
+    /// [`stop_after_round`](Self::stop_after_round) leaves each source's
+    /// last, partial chunk unsent.
+    #[must_use]
+    pub fn chunk_sink(mut self, sink: Sender<RecordChunk>, records: usize) -> Self {
+        assert!(records > 0, "chunk size must be positive");
+        self.sink = Some(ChunkSink { tx: sink, records });
+        self
     }
 
     /// Crawls every source in bounded segment rounds, invoking
@@ -175,7 +171,9 @@ impl CrawlPlan {
     /// budget, in parallel (one thread per source). Because every fault
     /// and RNG decision is keyed to cursor position — never to segment
     /// boundaries — the merged outcome is bit-identical regardless of
-    /// budget, resume points, or kills.
+    /// budget, resume points, kills or chunk sink. With a sink set, the
+    /// source threads stream their records as they crawl them; a full
+    /// channel holds the crawl back.
     ///
     /// # Errors
     ///
@@ -191,8 +189,22 @@ impl CrawlPlan {
         S: TrafficSource + Send,
         F: Fn(&S) -> u64 + Sync,
     {
-        let segment_budget = self.budget();
-        let plans = crawl_plans(sources, self.base_seed, &self.profile, &step_fn);
+        let segment_budget = self.segment_budget.unwrap_or(u64::MAX);
+        let profile = &self.profile;
+        let plans: Vec<(CrawlConfig, _)> = sources
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let steps = step_fn(x);
+                let config = CrawlConfig {
+                    steps,
+                    seed: exchange_crawl_seed(self.base_seed, i),
+                    ..Default::default()
+                };
+                let span = estimated_exchange_span_secs(x, steps);
+                (config, profile.compile_for(x, self.base_seed, span))
+            })
+            .collect();
 
         let mut state = self.resume.unwrap_or_else(|| CrawlCheckpointState {
             round: 0,
@@ -208,7 +220,17 @@ impl CrawlPlan {
             assert_eq!(cursor.exchange, x.name(), "checkpoint/source order mismatch");
         }
 
-        let profile = &self.profile;
+        let sink = self.sink.as_ref();
+        let mut emitters: Vec<ChunkEmitter> =
+            sources.iter().map(|_| ChunkEmitter::default()).collect();
+        if let Some(sink) = sink {
+            for (i, (emitter, (cursor, store))) in
+                emitters.iter_mut().zip(state.cursors.iter().zip(&state.stores)).enumerate()
+            {
+                emitter.feed(sink, i, store.records(), cursor.done);
+            }
+        }
+
         let mut rounds_run = 0u64;
         while !state.all_done() {
             thread::scope(|scope| {
@@ -217,19 +239,33 @@ impl CrawlPlan {
                     .zip(state.cursors.iter_mut())
                     .zip(state.stores.iter_mut())
                     .zip(plans.iter())
-                    .filter(|(((_, cursor), _), _)| !cursor.done)
-                    .map(|(((source, cursor), store), (config, lifecycle))| {
+                    .zip(emitters.iter_mut())
+                    .enumerate()
+                    .filter(|(_, ((((_, cursor), _), _), _))| !cursor.done)
+                    .map(|(i, ((((source, cursor), store), (config, lifecycle)), emitter))| {
                         scope.spawn(move |_| {
-                            crawl_exchange_segment(
-                                web,
-                                source,
-                                config,
-                                lifecycle,
-                                &profile.retry,
-                                cursor,
-                                store,
-                                segment_budget,
-                            );
+                            let mut left = segment_budget;
+                            while !cursor.done && left > 0 {
+                                // With a sink, stop at every chunk boundary
+                                // (one slot logs at most one record).
+                                let budget = sink.map_or(left, |s| {
+                                    left.min((s.records - emitter.pending.len()) as u64)
+                                });
+                                let before = store.len();
+                                left -= crawl_exchange_segment(
+                                    web,
+                                    source,
+                                    config,
+                                    lifecycle,
+                                    &profile.retry,
+                                    cursor,
+                                    store,
+                                    budget,
+                                );
+                                if let Some(sink) = sink {
+                                    emitter.feed(sink, i, &store.records()[before..], cursor.done);
+                                }
+                            }
                         })
                     })
                     .collect();
@@ -248,164 +284,6 @@ impl CrawlPlan {
         }
         Ok(SegmentedCrawl { state, finished: true, rounds_run })
     }
-
-    /// Crawls every source concurrently, emitting records through
-    /// `sink` in bounded, sequence-numbered chunks as they are produced
-    /// — the producer half of the overlapped crawl→scan pipeline.
-    ///
-    /// Each source thread repeatedly advances its cursor by up to the
-    /// segment budget (the same resumable segment driver the
-    /// checkpointed crawl uses) and sends the segment's records as one
-    /// [`RecordChunk`]; empty segments (every slot lost to faults) are
-    /// skipped. Records travel *only* through the channel — the caller
-    /// reassembles the store — so nothing is held twice. Sends block
-    /// when the channel is full (bounded memory) and chunk production
-    /// stops if every receiver is gone.
-    ///
-    /// Because every fault and RNG decision is keyed to cursor
-    /// position, never to segment boundaries, the reassembled record
-    /// stream is bit-identical to [`collect`](Self::collect) for every
-    /// budget. Returns the same per-source stats and health logs.
-    pub fn stream<S, F>(
-        self,
-        web: &SyntheticWeb,
-        sources: &mut [S],
-        step_fn: F,
-        sink: crossbeam::channel::Sender<RecordChunk>,
-    ) -> (Vec<(String, CrawlStats)>, Vec<CrawlHealth>)
-    where
-        S: TrafficSource + Send,
-        F: Fn(&S) -> u64 + Sync,
-    {
-        let chunk_budget = self.budget();
-        let profile = &self.profile;
-        let plans = crawl_plans(sources, self.base_seed, profile, &step_fn);
-        let cursors: Vec<(String, CrawlStats, CrawlHealth)> = thread::scope(|scope| {
-            let handles: Vec<_> = sources
-                .iter_mut()
-                .enumerate()
-                .zip(plans.iter())
-                .map(|((exchange_index, source), (config, lifecycle))| {
-                    let sink = sink.clone();
-                    scope.spawn(move |_| {
-                        let mut cursor = CrawlCursor::start(source, config);
-                        let mut chunk_seq = 0u64;
-                        while !cursor.done {
-                            let mut segment = RecordStore::new();
-                            crawl_exchange_segment(
-                                web,
-                                source,
-                                config,
-                                lifecycle,
-                                &profile.retry,
-                                &mut cursor,
-                                &mut segment,
-                                chunk_budget,
-                            );
-                            let records = segment.into_records();
-                            if !records.is_empty()
-                                && sink
-                                    .send(RecordChunk { exchange_index, chunk_seq, records })
-                                    .is_err()
-                            {
-                                // Every receiver is gone; keep crawling so
-                                // stats/health stay complete, drop records.
-                                while !cursor.done {
-                                    let mut rest = RecordStore::new();
-                                    crawl_exchange_segment(
-                                        web,
-                                        source,
-                                        config,
-                                        lifecycle,
-                                        &profile.retry,
-                                        &mut cursor,
-                                        &mut rest,
-                                        u64::MAX,
-                                    );
-                                }
-                                break;
-                            }
-                            chunk_seq += 1;
-                        }
-                        (cursor.exchange.clone(), cursor.stats(), cursor.health())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("crawl worker panicked")).collect()
-        })
-        .expect("crawl scope panicked");
-        drop(sink);
-
-        let mut stats = Vec::with_capacity(cursors.len());
-        let mut health = Vec::with_capacity(cursors.len());
-        for (name, s, h) in cursors {
-            stats.push((name, s));
-            health.push(h);
-        }
-        (stats, health)
-    }
-}
-
-/// Crawls every source concurrently, emitting records through `sink`
-/// in bounded, sequence-numbered chunks as they are produced.
-///
-/// Thin wrapper over [`CrawlPlan::stream`].
-pub fn crawl_all_streaming<S, F>(
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    base_seed: u64,
-    profile: &CrawlFaultProfile,
-    step_fn: F,
-    chunk_budget: u64,
-    sink: crossbeam::channel::Sender<RecordChunk>,
-) -> (Vec<(String, CrawlStats)>, Vec<CrawlHealth>)
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    CrawlPlan::new(base_seed)
-        .fault_profile(profile.clone())
-        .segment_budget(chunk_budget)
-        .stream(web, sources, step_fn, sink)
-}
-
-/// Crawls every source concurrently — one worker thread per source,
-/// matching how the study ran independent sessions per service — and
-/// merges the per-source stores into one.
-///
-/// `step_fn` decides how many pages to log on each source (Table I's
-/// volumes differ by two orders of magnitude between auto and manual).
-/// Thin wrapper over [`CrawlPlan::collect`] with the inert profile.
-pub fn crawl_all<S, F>(
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    base_seed: u64,
-    step_fn: F,
-) -> (RecordStore, Vec<(String, CrawlStats)>)
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    let (store, stats, _health) = CrawlPlan::new(base_seed).collect(web, sources, step_fn);
-    (store, stats)
-}
-
-/// [`crawl_all`] under a crawl-fault profile: every source gets a
-/// compiled lifecycle schedule and the crawl degrades (skip / retry /
-/// backoff) instead of aborting when a source goes dark. Also returns
-/// the per-source health logs. Thin wrapper over [`CrawlPlan::collect`].
-pub fn crawl_all_resilient<S, F>(
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    base_seed: u64,
-    profile: &CrawlFaultProfile,
-    step_fn: F,
-) -> (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>)
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    CrawlPlan::new(base_seed).fault_profile(profile.clone()).collect(web, sources, step_fn)
 }
 
 /// The complete resumable state of a multi-source crawl: one cursor
@@ -504,13 +382,13 @@ impl CrawlCheckpointState {
     }
 
     /// Consumes the state into the merged store, per-source stats and
-    /// health logs — in source input order, same as [`crawl_all`].
+    /// health logs — in source input order.
     pub fn finish(self) -> (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>) {
         let mut merged = RecordStore::new();
         let mut stats = Vec::with_capacity(self.cursors.len());
         let mut health = Vec::with_capacity(self.cursors.len());
-        for (cursor, store) in self.cursors.iter().zip(&self.stores) {
-            merged.extend(store.records().iter().cloned());
+        for (cursor, store) in self.cursors.iter().zip(self.stores) {
+            merged.extend(store.into_records());
             stats.push((cursor.exchange.clone(), cursor.stats()));
             health.push(cursor.health());
         }
@@ -528,43 +406,6 @@ pub struct SegmentedCrawl {
     pub finished: bool,
     /// Rounds executed by this call (excludes resumed-from rounds).
     pub rounds_run: u64,
-}
-
-/// Crawls every source in bounded segment rounds, invoking `on_round`
-/// with the full crawl state after each round — the checkpoint hook.
-///
-/// Thin wrapper over [`CrawlPlan::run_segmented`].
-///
-/// # Errors
-///
-/// Propagates the first `on_round` error; the crawl stops there.
-#[allow(clippy::too_many_arguments)] // legacy facade: every knob is an explicit argument
-pub fn crawl_all_segmented<S, F, E>(
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    base_seed: u64,
-    profile: &CrawlFaultProfile,
-    step_fn: F,
-    segment_budget: u64,
-    resume: Option<CrawlCheckpointState>,
-    stop_after_round: Option<u64>,
-    on_round: &mut dyn FnMut(u64, &CrawlCheckpointState) -> Result<(), E>,
-) -> Result<SegmentedCrawl, E>
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    assert!(segment_budget > 0, "segment budget must be positive");
-    let mut plan = CrawlPlan::new(base_seed)
-        .fault_profile(profile.clone())
-        .segment_budget(segment_budget);
-    if let Some(state) = resume {
-        plan = plan.resume(state);
-    }
-    if let Some(rounds) = stop_after_round {
-        plan = plan.stop_after_round(rounds);
-    }
-    plan.run_segmented(web, sources, step_fn, on_round)
 }
 
 /// Replays the browser side effects of every checkpoint-restored record
@@ -622,12 +463,27 @@ mod tests {
     use slum_exchange::ExchangeKind;
     use slum_websim::build::WebBuilder;
 
+    type Crawled = (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>);
+
+    /// Runs `plan` to completion with no checkpoint hook.
+    fn crawl<S, F>(plan: CrawlPlan, web: &SyntheticWeb, sources: &mut [S], step_fn: F) -> Crawled
+    where
+        S: TrafficSource + Send,
+        F: Fn(&S) -> u64 + Sync,
+    {
+        let outcome = plan
+            .run_segmented(web, sources, step_fn, &mut |_, _| Ok::<(), String>(()))
+            .expect("no checkpoint hook");
+        assert!(outcome.finished);
+        outcome.state.finish()
+    }
+
     #[test]
     fn parallel_crawl_covers_all_nine_exchanges() {
         let mut b = WebBuilder::new(130);
         let mut exchanges = build_all_exchanges(&mut b, 0.02, 20_000);
         let web = b.finish();
-        let (store, stats) = crawl_all(&web, &mut exchanges, 42, |x| {
+        let (store, stats, _) = crawl(CrawlPlan::new(42), &web, &mut exchanges, |x| {
             match x.kind() {
                 ExchangeKind::AutoSurf => 60,
                 ExchangeKind::ManualSurf => 15,
@@ -656,7 +512,7 @@ mod tests {
         let mut b = WebBuilder::new(132);
         let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
         let web = b.finish();
-        let (_, stats) = crawl_all(&web, &mut exchanges, 7, |_| 20);
+        let (_, stats, _) = crawl(CrawlPlan::new(7), &web, &mut exchanges, |_| 20);
         let mut merged = slum_obs::LocalMetrics::new();
         for (_, s) in &stats {
             merged.merge(&s.metrics);
@@ -676,7 +532,7 @@ mod tests {
             let mut b = WebBuilder::new(131);
             let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
             let web = b.finish();
-            let (store, _) = crawl_all(&web, &mut exchanges, 99, |_| 25);
+            let (store, _, _) = crawl(CrawlPlan::new(99), &web, &mut exchanges, |_| 25);
             let mut urls: Vec<String> =
                 store.records().iter().map(|r| format!("{}|{}", r.exchange, r.url)).collect();
             urls.sort();
@@ -690,8 +546,7 @@ mod tests {
         let mut b = WebBuilder::new(133);
         let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
         let web = b.finish();
-        let (store, stats, health) =
-            crawl_all_resilient(&web, &mut exchanges, 5, &CrawlFaultProfile::none(), |_| 12);
+        let (store, stats, health) = crawl(CrawlPlan::new(5), &web, &mut exchanges, |_| 12);
         assert_eq!(store.len(), 9 * 12);
         assert_eq!(stats.len(), 9);
         assert_eq!(health.len(), 9);
@@ -704,13 +559,8 @@ mod tests {
         let mut b = WebBuilder::new(134);
         let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
         let web = b.finish();
-        let (store, _, health) = crawl_all_resilient(
-            &web,
-            &mut exchanges,
-            5,
-            &CrawlFaultProfile::harsh(),
-            |_| 40,
-        );
+        let plan = CrawlPlan::new(5).fault_profile(CrawlFaultProfile::harsh());
+        let (store, _, health) = crawl(plan, &web, &mut exchanges, |_| 40);
         assert!(!health.iter().all(CrawlHealth::is_clean), "harsh profile must bite");
         for h in &health {
             assert_eq!(h.pages + h.lost_steps, 40, "{}", h.exchange);
@@ -728,34 +578,27 @@ mod tests {
                 let mut b = WebBuilder::new(135);
                 let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
                 let web = b.finish();
-                let (store, stats, health) =
-                    crawl_all_resilient(&web, &mut exchanges, 11, &profile, |_| 30);
+                let plan = CrawlPlan::new(11).fault_profile(profile.clone());
+                let (store, stats, health) = crawl(plan, &web, &mut exchanges, |_| 30);
                 (store.to_jsonl().unwrap(), stats, health)
             };
 
             let mut b = WebBuilder::new(135);
             let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
             let web = b.finish();
-            let outcome = crawl_all_segmented::<_, _, String>(
-                &web,
-                &mut exchanges,
-                11,
-                &profile,
-                |_| 30,
-                7,
-                None,
-                None,
-                &mut |round, state| {
+            let outcome = CrawlPlan::new(11)
+                .fault_profile(profile.clone())
+                .segment_budget(7)
+                .run_segmented(&web, &mut exchanges, |_| 30, &mut |round, state| {
                     // Round-trip the full state through the body format,
                     // as a checkpoint save + resume would.
                     let body = state.to_body().map_err(|e| e.to_string())?;
                     let back = CrawlCheckpointState::from_body(round, &body)
                         .map_err(|(l, d)| format!("line {l}: {d}"))?;
                     assert_eq!(*state, back);
-                    Ok(())
-                },
-            )
-            .expect("round-trip must parse");
+                    Ok::<(), String>(())
+                })
+                .expect("round-trip must parse");
             assert!(outcome.finished);
             let (store, stats, health) = outcome.state.finish();
             assert_eq!(store.to_jsonl().unwrap(), one_shot.0, "profile {}", profile.name);
@@ -764,86 +607,85 @@ mod tests {
         }
     }
 
-    /// Streaming chunks, reassembled by (exchange_index, chunk_seq),
+    /// Streamed chunks, reassembled by (exchange_index, chunk_seq),
     /// reproduce the one-shot merged store bit-for-bit — for every
-    /// chunk budget, under both inert and active fault profiles.
+    /// chunk size and segment budget, across a kill and resume, under
+    /// both inert and active fault profiles. Chunk `k` of a source is
+    /// always its records `k * size ..`, so the chunk sequence never
+    /// depends on where rounds or resumes fall.
     #[test]
     fn streaming_chunks_reassemble_to_one_shot_store() {
+        let build = || {
+            let mut b = WebBuilder::new(136);
+            let exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
+            (b.finish(), exchanges)
+        };
         for profile in [CrawlFaultProfile::none(), CrawlFaultProfile::default_profile()] {
-            let one_shot = {
-                let mut b = WebBuilder::new(136);
-                let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-                let web = b.finish();
-                let (store, stats, health) =
-                    crawl_all_resilient(&web, &mut exchanges, 13, &profile, |_| 30);
-                (store.to_jsonl().unwrap(), stats, health)
+            let (one_shot, per_source) = {
+                let (web, mut exchanges) = build();
+                let plan = CrawlPlan::new(13).fault_profile(profile.clone());
+                let (store, stats, health) = crawl(plan, &web, &mut exchanges, |_| 30);
+                let per_source: Vec<usize> =
+                    health.iter().map(|h| h.pages as usize).collect();
+                ((store.to_jsonl().unwrap(), stats, health), per_source)
             };
 
-            for chunk_budget in [1u64, 7, 64, 10_000] {
-                let mut b = WebBuilder::new(136);
-                let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-                let web = b.finish();
-                let (tx, rx) = crossbeam::channel::bounded::<RecordChunk>(4);
-                let (chunks, stats, health) = thread::scope(|scope| {
-                    let consumer = scope.spawn(move |_| {
-                        let mut chunks = Vec::new();
-                        while let Ok(chunk) = rx.recv() {
-                            assert!(!chunk.records.is_empty(), "empty chunks are skipped");
-                            chunks.push(chunk);
-                        }
-                        chunks
-                    });
-                    let (stats, health) = crawl_all_streaming(
-                        &web,
-                        &mut exchanges,
-                        13,
-                        &profile,
-                        |_| 30,
-                        chunk_budget,
-                        tx,
-                    );
-                    let chunks = consumer.join().expect("consumer panicked");
-                    (chunks, stats, health)
-                })
-                .expect("stream scope panicked");
+            for chunk in [1usize, 7, 64, 10_000] {
+                for (budget, kill) in [(None, None), (Some(9), None), (Some(9), Some(2))] {
+                    let (web, mut exchanges) = build();
+                    let mut plan = CrawlPlan::new(13).fault_profile(profile.clone());
+                    if let Some(budget) = budget {
+                        plan = plan.segment_budget(budget);
+                    }
+                    if let Some(rounds) = kill {
+                        // Crash after `rounds` rounds without streaming;
+                        // the resumed run streams the restored records
+                        // first.
+                        let killed = plan
+                            .clone()
+                            .stop_after_round(rounds)
+                            .run_segmented(&web, &mut exchanges, |_| 30, &mut |_, _| {
+                                Ok::<(), String>(())
+                            })
+                            .expect("no checkpoint hook");
+                        assert!(!killed.finished);
+                        plan = plan.resume(killed.state);
+                    }
+                    let (tx, rx) = crossbeam::channel::bounded::<RecordChunk>(4);
+                    let plan = plan.chunk_sink(tx, chunk);
+                    let (chunks, (store, stats, health)) = thread::scope(|scope| {
+                        let consumer = scope.spawn(move |_| {
+                            let mut chunks = Vec::new();
+                            while let Ok(c) = rx.recv() {
+                                chunks.push(c);
+                            }
+                            chunks
+                        });
+                        let crawled = crawl(plan, &web, &mut exchanges, |_| 30);
+                        (consumer.join().expect("consumer panicked"), crawled)
+                    })
+                    .expect("stream scope panicked");
 
-                let mut chunks = chunks;
-                chunks.sort_by_key(|c| (c.exchange_index, c.chunk_seq));
-                let mut merged = RecordStore::new();
-                for chunk in chunks {
-                    merged.extend(chunk.records);
+                    let label = format!(
+                        "profile {} chunk {chunk} budget {budget:?} kill {kill:?}",
+                        profile.name
+                    );
+                    let expected: usize = per_source.iter().map(|n| n.div_ceil(chunk)).sum();
+                    assert_eq!(chunks.len(), expected, "{label}: chunk count");
+                    let mut chunks = chunks;
+                    chunks.sort_by_key(|c| (c.exchange_index, c.chunk_seq));
+                    let mut merged = RecordStore::new();
+                    for c in chunks {
+                        assert!(!c.records.is_empty() && c.records.len() <= chunk, "{label}");
+                        merged.extend(c.records);
+                    }
+                    assert_eq!(merged.to_jsonl().unwrap(), one_shot.0, "{label}");
+                    assert_eq!(store.to_jsonl().unwrap(), one_shot.0, "{label}: stores");
+                    assert_eq!(stats, one_shot.1, "{label}");
+                    assert_eq!(health, one_shot.2, "{label}");
                 }
-                let label = format!("profile {} budget {chunk_budget}", profile.name);
-                assert_eq!(merged.to_jsonl().unwrap(), one_shot.0, "{label}");
-                assert_eq!(stats, one_shot.1, "{label}");
-                assert_eq!(health, one_shot.2, "{label}");
             }
         }
-    }
-
-    /// The builder and the legacy wrappers must produce identical
-    /// output for the same configuration.
-    #[test]
-    fn plan_collect_matches_legacy_wrappers() {
-        let profile = CrawlFaultProfile::default_profile();
-        let legacy = {
-            let mut b = WebBuilder::new(137);
-            let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-            let web = b.finish();
-            let (store, stats, health) =
-                crawl_all_resilient(&web, &mut exchanges, 17, &profile, |_| 25);
-            (store.to_jsonl().unwrap(), stats, health)
-        };
-        let mut b = WebBuilder::new(137);
-        let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-        let web = b.finish();
-        let (store, stats, health) = CrawlPlan::new(17)
-            .fault_profile(profile)
-            .segment_budget(9)
-            .collect(&web, &mut exchanges, |_| 25);
-        assert_eq!(store.to_jsonl().unwrap(), legacy.0);
-        assert_eq!(stats, legacy.1);
-        assert_eq!(health, legacy.2);
     }
 
     /// Boxed trait-object sources crawl bit-identically to the concrete
@@ -854,7 +696,7 @@ mod tests {
             let mut b = WebBuilder::new(138);
             let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
             let web = b.finish();
-            let (store, _, _) = CrawlPlan::new(23).collect(&web, &mut exchanges, |_| 20);
+            let (store, _, _) = crawl(CrawlPlan::new(23), &web, &mut exchanges, |_| 20);
             store.to_jsonl().unwrap()
         };
         let mut b = WebBuilder::new(138);
@@ -863,7 +705,7 @@ mod tests {
             .map(|x| Box::new(x) as Box<dyn TrafficSource + Send>)
             .collect();
         let web = b.finish();
-        let (store, _, _) = CrawlPlan::new(23).collect(&web, &mut boxed, |_| 20);
+        let (store, _, _) = crawl(CrawlPlan::new(23), &web, &mut boxed, |_| 20);
         assert_eq!(store.to_jsonl().unwrap(), concrete);
     }
 
@@ -923,20 +765,17 @@ mod tests {
                    resume: Option<CrawlCheckpointState>,
                    stop: Option<u64>,
                    saved: &mut Option<CrawlCheckpointState>| {
-            crawl_all_segmented::<_, _, String>(
-                web,
-                sources,
-                7,
-                &CrawlFaultProfile::none(),
-                |_| 8,
-                4,
-                resume,
-                stop,
-                &mut |_, state| {
-                    *saved = Some(state.clone());
-                    Ok(())
-                },
-            )
+            let mut plan = CrawlPlan::new(7).segment_budget(4);
+            if let Some(state) = resume {
+                plan = plan.resume(state);
+            }
+            if let Some(rounds) = stop {
+                plan = plan.stop_after_round(rounds);
+            }
+            plan.run_segmented(web, sources, |_| 8, &mut |_, state| {
+                *saved = Some(state.clone());
+                Ok::<(), String>(())
+            })
             .expect("crawl runs")
         };
 

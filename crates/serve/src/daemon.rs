@@ -17,6 +17,10 @@
 //!   [`DaemonOptions::drain_deadline`]; idle clients cannot wedge it
 //!   because every read wakes within [`READ_POLL`] to check the stop
 //!   flag.
+//! - **One segment per response**: accepted sockets run with
+//!   `TCP_NODELAY` and every response line, newline included, goes out
+//!   in a single write — a trailing `\n` sent on its own would sit in
+//!   Nagle's buffer until the client's delayed ACK (~40 ms per reply).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -183,6 +187,8 @@ fn accept_loop(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // Best effort: a socket that refuses NODELAY still works.
+                let _ = stream.set_nodelay(true);
                 if live.load(Ordering::SeqCst) >= options.max_connections {
                     shed_connection(stream, service);
                     continue;
@@ -221,10 +227,7 @@ fn accept_loop(
 fn shed_connection(mut stream: TcpStream, service: &Arc<Service>) {
     service.obs().counter("serve.shed.connections").inc();
     let response = Response::overloaded("connect", service.retry_after_ms());
-    if let Ok(encoded) = serde_json::to_string(&response) {
-        let _ = writeln!(stream, "{encoded}");
-        let _ = stream.flush();
-    }
+    write_response(&mut stream, &response);
 }
 
 fn scheduler_loop(service: &Arc<Service>, stop: &Arc<AtomicBool>) {
@@ -330,9 +333,12 @@ fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &Arc<Atomic
     }
 }
 
+/// Sends `response` as one line in a single write; false when the
+/// connection is gone.
 fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
-    let Ok(encoded) = serde_json::to_string(response) else { return false };
-    writeln!(writer, "{encoded}").is_ok() && writer.flush().is_ok()
+    let Ok(mut line) = serde_json::to_string(response) else { return false };
+    line.push('\n');
+    writer.write_all(line.as_bytes()).is_ok()
 }
 
 #[cfg(test)]
@@ -344,8 +350,7 @@ mod tests {
         writer: &mut TcpStream,
         line: &str,
     ) -> Response {
-        writeln!(writer, "{line}").expect("write request");
-        writer.flush().expect("flush request");
+        writer.write_all(format!("{line}\n").as_bytes()).expect("write request");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read response");
         serde_json::from_str(reply.trim()).expect("response parses")
@@ -405,6 +410,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let service = Service::open(&root).expect("service root");
         (service, root)
+    }
+
+    /// Each response must leave in one segment: a newline written on
+    /// its own waits in Nagle's buffer for the client's delayed ACK,
+    /// ~40 ms per round trip (about 4 s for this loop).
+    #[test]
+    fn sequential_round_trips_are_not_held_by_delayed_acks() {
+        let (service, root) = scratch_service("rtt");
+        let mut daemon = Daemon::start(service, "127.0.0.1:0").expect("daemon");
+        let stream = TcpStream::connect(daemon.addr()).expect("connect");
+        stream.set_nodelay(true).expect("client nodelay");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+
+        let started = Instant::now();
+        for _ in 0..100 {
+            let status = roundtrip(&mut reader, &mut writer, r#"{"op":"study-status","study":0}"#);
+            assert!(!status.ok, "no study 0 was submitted");
+        }
+        let elapsed = started.elapsed();
+        daemon.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "100 sequential round trips took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The benchmark is its own workspace; its smoke tests run every
+# workload at a tiny scale and check the BENCHMARK.json contract.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 metrics_file="$(mktemp -t METRICS.XXXXXX.json)"
 trap 'rm -f "$metrics_file"' EXIT
@@ -43,18 +46,12 @@ for key in ("scan.faults.injected", "scan.retries", "scan.degraded_verdicts",
         sys.exit(f"METRICS smoke test: fault-free run has {key!r} = "
                  f"{counters[key]}, expected 0")
 
-# Same convention for the streaming-pipeline bookkeeping: a barrier run
-# must register the scan.pipeline.* counters at zero with the overlap
-# gauge off.
-for key in ("scan.pipeline.chunks", "scan.pipeline.records_streamed",
-            "scan.pipeline.fault_fallback"):
-    if key not in counters:
-        sys.exit(f"METRICS smoke test: pipeline counter {key!r} missing")
-    if counters[key] != 0:
-        sys.exit(f"METRICS smoke test: barrier run has {key!r} = "
-                 f"{counters[key]}, expected 0")
-if snapshot["gauges"].get("scan.pipeline.overlap") != 0:
-    sys.exit("METRICS smoke test: barrier run reports scan.pipeline.overlap != 0")
+# Every run streams its crawl into the scan: every record travels in a
+# chunk.
+if counters.get("scan.pipeline.chunks", 0) <= 0:
+    sys.exit("METRICS smoke test: no record chunks streamed")
+if counters.get("scan.pipeline.records_streamed") != counters["crawl.pages"]:
+    sys.exit("METRICS smoke test: streamed records != crawled pages")
 
 # The JS-VM counters are always registered (the default engine is the
 # bytecode VM, so they are live here; a tree-walk run reports zeros —
@@ -148,108 +145,34 @@ print("RESUME smoke test OK: table1 identical after kill+resume, "
       f"{counters['crawl.faults.lost_steps']} slots lost to faults")
 EOF
 
-# Streaming-pipeline smoke test: the overlapped crawl→scan pipeline
-# (scan workers consuming record chunks while the crawl runs) must
-# export the exact same study as the phase-barrier path — byte for
-# byte, including metrics-derived figures.
-barrier_json="$(mktemp -t REPRO_BARRIER.XXXXXX.json)"
-overlap_json="$(mktemp -t REPRO_OVERLAP.XXXXXX.json)"
-overlap_metrics_file="$(mktemp -t METRICS_OVERLAP.XXXXXX.json)"
+# Pipeline smoke test: one crawl→scan pipeline behind every entry
+# point, so the export is byte-identical for any scan worker count and
+# with checkpointing. Scale 0.01 plans more surf slots than the serial
+# threshold, so --workers 8 really fans out (up to the host's cores).
+serial_json="$(mktemp -t REPRO_SERIAL.XXXXXX.json)"
+parallel_json="$(mktemp -t REPRO_PARALLEL.XXXXXX.json)"
+ckpt_json="$(mktemp -t REPRO_CKPT.XXXXXX.json)"
+pipeline_ckpt_dir="$(mktemp -d -t SLUMPIPE.XXXXXX)"
 bench_dir="$(mktemp -d -t SLUMBENCH.XXXXXX)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
     "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir"' EXIT
+    "$serial_json" "$parallel_json" "$ckpt_json" "$pipeline_ckpt_dir" "$bench_dir"' EXIT
 
 cargo run --release -p slum-bench --bin repro -- json \
-    --scale 0.001 --seed 2016 > "$barrier_json" 2>/dev/null
+    --scale 0.01 --seed 2016 --workers 1 > "$serial_json" 2>/dev/null
 
 cargo run --release -p slum-bench --bin repro -- json \
-    --scale 0.001 --seed 2016 --overlap --workers 8 \
-    --metrics "$overlap_metrics_file" > "$overlap_json" 2>/dev/null
+    --scale 0.01 --seed 2016 --workers 8 > "$parallel_json" 2>/dev/null
 
-cmp "$barrier_json" "$overlap_json" \
-    || { echo "OVERLAP smoke test: overlapped export diverged from barrier run"; exit 1; }
+cargo run --release -p slum-bench --bin repro -- json \
+    --scale 0.01 --seed 2016 --checkpoint "$pipeline_ckpt_dir" > "$ckpt_json" 2>/dev/null
 
-python3 - "$overlap_metrics_file" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-
-counters = snapshot["counters"]
-if snapshot["gauges"].get("scan.pipeline.overlap") != 1:
-    sys.exit("OVERLAP smoke test: --overlap run did not take the streaming path")
-if counters.get("scan.pipeline.chunks", 0) <= 0:
-    sys.exit("OVERLAP smoke test: no record chunks streamed")
-if counters.get("scan.pipeline.records_streamed", 0) != counters.get("crawl.pages"):
-    sys.exit("OVERLAP smoke test: streamed records != crawled pages")
-
-print("OVERLAP smoke test OK: export byte-identical to barrier, "
-      f"{counters['scan.pipeline.records_streamed']} records in "
-      f"{counters['scan.pipeline.chunks']} chunks")
-EOF
-
-# Benchmark smoke test: bench-scan --quick (smallest scale only) must
-# produce a BENCH_scanpipe.json carrying both the legacy flat schema
-# and the per-scale scaling sections. Run from a scratch dir so the
-# committed BENCH_scanpipe.json is untouched.
+cmp "$serial_json" "$parallel_json" \
+    || { echo "PIPELINE smoke test: --workers 8 export diverged from --workers 1"; exit 1; }
+cmp "$serial_json" "$ckpt_json" \
+    || { echo "PIPELINE smoke test: --checkpoint export diverged from --workers 1"; exit 1; }
+echo "PIPELINE smoke test OK: export byte-identical at 1 and 8 workers and checkpointed"
 repro_bin="$(pwd)/target/release/repro"
-(cd "$bench_dir" && "$repro_bin" bench-scan --quick --seed 2016 >/dev/null 2>&1)
-
-python3 - "$bench_dir/BENCH_scanpipe.json" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-for key in ("benchmark", "seed", "crawl_scale", "records", "runs",
-            "host", "scan_chunk", "serial_scan_threshold", "scales"):
-    if key not in doc:
-        sys.exit(f"BENCH smoke test: key {key!r} missing from BENCH_scanpipe.json")
-if doc["benchmark"] != "scanpipe" or doc["host"].get("cpus", 0) < 1:
-    sys.exit("BENCH smoke test: malformed benchmark/host fields")
-if [r["workers"] for r in doc["runs"]] != [1, 2, 4, 8]:
-    sys.exit("BENCH smoke test: legacy runs must cover workers 1/2/4/8")
-for run in doc["runs"]:
-    # Legacy rows must disclose what actually executed: on a host where
-    # the serial-fallback clamp collapses multi-worker requests, four
-    # byte-identical timings are honest only if flagged as such.
-    for key in ("executed_workers", "serial_fallback"):
-        if key not in run:
-            sys.exit(f"BENCH smoke test: legacy run lacks {key!r}")
-    if run["executed_workers"] > doc["host"]["cpus"]:
-        sys.exit("BENCH smoke test: legacy executed_workers exceed host cpus")
-    if run["workers"] > 1 and run["executed_workers"] == 1 \
-            and not run["serial_fallback"]:
-        sys.exit("BENCH smoke test: collapsed legacy row not flagged serial_fallback")
-scale = doc["scales"][0]
-for key in ("crawl_seconds", "scan_seconds", "overlap_total_seconds",
-            "overlap_savings_seconds", "regular_records"):
-    if key not in scale:
-        sys.exit(f"BENCH smoke test: per-scale key {key!r} missing")
-covered = set()
-for run in scale["runs"]:
-    if run["effective_workers"] > doc["host"]["cpus"]:
-        sys.exit("BENCH smoke test: effective workers exceed host cpus")
-    if run["seconds"] <= 0 or run["records_per_sec"] <= 0:
-        sys.exit("BENCH smoke test: non-positive timing fields")
-    covered.add(run["workers"])
-    covered.update(run.get("covers_workers") or [])
-    # A row may only repeat the serial timing when it says so.
-    if run.get("duplicates_of") is not None and not run["serial_fallback"]:
-        sys.exit("BENCH smoke test: duplicates_of set on a measured row")
-if covered != {1, 2, 4, 8}:
-    sys.exit(f"BENCH smoke test: per-scale rows cover workers {sorted(covered)}, "
-             "expected 1/2/4/8")
-dupes = [r for r in scale["runs"] if r.get("duplicates_of") is not None]
-if len(dupes) > 1:
-    sys.exit("BENCH smoke test: collapsed serial-fallback rows must fold into one")
-
-print(f"BENCH smoke test OK: {doc['records']} records, "
-      f"{len(doc['scales'])} scale(s), host cpus {doc['host']['cpus']}")
-EOF
 
 # Engine smoke test: the same seeded study under the bytecode VM and
 # under the tree-walk interpreter must export byte-identical artifacts;
@@ -260,7 +183,7 @@ interp_json="$(mktemp -t REPRO_INTERP.XXXXXX.json)"
 interp_metrics_file="$(mktemp -t METRICS_INTERP.XXXXXX.json)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
     "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir" \
+    "$serial_json" "$parallel_json" "$ckpt_json" "$pipeline_ckpt_dir" "$bench_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file"' EXIT
 
 cargo run --release -p slum-bench --bin repro -- json \
@@ -348,7 +271,7 @@ substrate_metrics_file="$(mktemp -t METRICS_SUBSTRATE.XXXXXX.json)"
 golden_out="$(mktemp -t REPRO_GOLDEN.XXXXXX.txt)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
     "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir" \
+    "$serial_json" "$parallel_json" "$ckpt_json" "$pipeline_ckpt_dir" "$bench_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file" \
     "$substrate_out" "$substrate_metrics_file" "$golden_out"' EXIT
 
@@ -429,7 +352,7 @@ chaos_log="$(mktemp -t CHAOS_LOG.XXXXXX.txt)"
 chaos_export="$(mktemp -t CHAOS_EXPORT.XXXXXX.json)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
     "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir" \
+    "$serial_json" "$parallel_json" "$ckpt_json" "$pipeline_ckpt_dir" "$bench_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file" \
     "$substrate_out" "$substrate_metrics_file" "$golden_out" \
     "$serve_root" "$serve_log" "$serve_export" "$serve_batch" \

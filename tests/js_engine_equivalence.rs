@@ -33,6 +33,8 @@ fn study_with(engine: JsEngine, workers: usize, profile: FaultProfile) -> Study 
         .crawl_scale(0.0003)
         .domain_scale(0.03)
         .scan_workers(workers)
+        // Honor every requested worker count, however small the corpus.
+        .serial_scan_threshold(0)
         .fault_profile(profile)
         .js_engine(engine)
         .build()
@@ -167,16 +169,15 @@ fn pipeline_reports_identical_under_both_engines() {
         record.content = Some(payload.clone());
     }
 
+    // Worker counts are swept over whole studies above; here the VM
+    // scans cold, then again over its warm module cache.
     let interp = ScanPipeline::new(&web).with_js_engine(JsEngine::TreeWalk);
     let baseline = interp.scan_all(&records);
     let vm = ScanPipeline::new(&web).with_js_engine(JsEngine::Vm);
-    for workers in [1usize, 2, 4, 8] {
-        vm.clear_caches();
-        let got = vm.scan_all_parallel(&records, workers);
-        assert_eq!(got, baseline, "vm pipeline diverged at {workers} workers");
-    }
+    assert_eq!(vm.scan_all(&records), baseline, "cold vm pipeline diverged");
     // Warm module cache (clear_caches keeps compiled modules): still equal.
-    let warm = vm.scan_all_parallel(&records, 4);
+    vm.clear_caches();
+    let warm = vm.scan_all(&records);
     assert_eq!(warm, baseline, "warm module cache changed outcomes");
     let stats = vm.js_vm_stats();
     assert!(stats.compiles > 0, "the campaign payload must compile");

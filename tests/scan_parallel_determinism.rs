@@ -1,100 +1,74 @@
-//! Determinism contract of the parallel scan phase: for any worker
-//! count, `scan_all_parallel` must return outcomes identical to the
-//! serial `scan_all` — same order, same verdicts, same reports. The
-//! scan engines are pure hash-based functions of each record, and the
-//! shared caches only memoize those pure computations, so splitting the
-//! corpus across threads may never change a single bit of the result.
+//! Determinism contract of the parallel scan: for any worker count, a
+//! study's outcomes must be identical to the serial scan's — same
+//! order, same verdicts, same reports. The scan engines are pure
+//! hash-based functions of each record, and the shared caches only
+//! memoize those pure computations, so splitting the record stream
+//! across threads may never change a single bit of the result.
 
-use slum_crawler::RecordStore;
-use slum_crawler::drive::{crawl_exchange, CrawlConfig};
-use slum_exchange::build_exchange;
-use slum_exchange::params::profile;
-use slum_websim::build::WebBuilder;
-use slum_websim::SyntheticWeb;
+use std::sync::Arc;
 
-use malware_slums::scanpipe::ScanPipeline;
+use malware_slums::scanpipe::ScanCaches;
 use malware_slums::study::{Study, StudyConfig};
 
-/// Crawls one exchange into a record corpus big enough to split across
-/// every tested worker count unevenly.
-fn corpus(seed: u64, steps: u64) -> (SyntheticWeb, RecordStore) {
-    let mut builder = WebBuilder::new(seed);
-    let p = profile("SendSurf").expect("profile exists");
-    let mut exchange = build_exchange(&mut builder, p, 0.04, 50_000);
-    let web = builder.finish();
-    let mut store = RecordStore::new();
-    crawl_exchange(
-        &web,
-        &mut exchange,
-        &CrawlConfig { steps, seed, ..Default::default() },
-        &mut store,
-    );
-    (web, store)
+fn config(seed: u64, scan_workers: usize) -> StudyConfig {
+    StudyConfig::builder()
+        .seed(seed)
+        .crawl_scale(0.0003)
+        .domain_scale(0.03)
+        .scan_workers(scan_workers)
+        // Honor every requested worker count, however small the corpus.
+        .serial_scan_threshold(0)
+        .build()
+        .expect("valid config")
 }
 
 #[test]
 fn parallel_scan_is_bit_identical_to_serial_for_all_worker_counts() {
-    let (web, store) = corpus(7100, 90);
-    let pipeline = ScanPipeline::new(&web);
-    let baseline = pipeline.scan_all(store.records());
-    assert_eq!(baseline.len(), store.len());
-
-    for workers in [1usize, 2, 4, 7] {
-        pipeline.clear_caches();
-        let parallel = pipeline.scan_all_parallel(store.records(), workers);
-        assert_eq!(parallel, baseline, "{workers} workers diverged from serial");
-    }
-}
-
-#[test]
-fn parallel_scan_handles_empty_and_singleton_corpora() {
-    let (web, store) = corpus(7101, 40);
-    let pipeline = ScanPipeline::new(&web);
-
-    for workers in [1usize, 2, 4, 7] {
-        assert!(pipeline.scan_all_parallel(&[], workers).is_empty());
-    }
-
-    let single = &store.records()[..1];
-    let baseline = pipeline.scan_all(single);
-    for workers in [1usize, 2, 4, 7] {
-        pipeline.clear_caches();
-        assert_eq!(pipeline.scan_all_parallel(single, workers), baseline);
+    let serial = Study::run(&config(7100, 1));
+    assert_eq!(serial.outcomes.len(), serial.store.len());
+    for workers in [2usize, 4, 7] {
+        let parallel = Study::run(&config(7100, workers));
+        assert_eq!(parallel.outcomes, serial.outcomes, "{workers} workers diverged from serial");
     }
 }
 
 #[test]
 fn warm_caches_do_not_change_outcomes() {
-    // Re-scanning without clearing must hit the caches and still agree.
-    let (web, store) = corpus(7102, 60);
-    let pipeline = ScanPipeline::new(&web);
-    let cold = pipeline.scan_all_parallel(store.records(), 4);
-    assert!(pipeline.cached_urls() > 0, "scan must populate the feature cache");
-    let warm = pipeline.scan_all_parallel(store.records(), 4);
-    assert_eq!(warm, cold);
+    // A second study over the same web, scanning through the first
+    // one's caches, must hit them and still agree.
+    let caches = Arc::new(ScanCaches::new());
+    let run = |tag: &str| {
+        let dir = std::env::temp_dir()
+            .join(format!("slum-warm-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let study =
+            Study::advance_checkpointed(&config(7102, 4), &dir, u64::MAX, Some(Arc::clone(&caches)))
+                .expect("checkpoint I/O")
+                .expect("an unbounded slice finishes the study");
+        std::fs::remove_dir_all(&dir).ok();
+        study
+    };
+    let cold = run("cold");
+    let hits_after_cold: u64 = caches.stats().iter().map(|(_, s)| s.hits).sum();
+    assert!(caches.cached_urls() > 0, "scan must populate the feature cache");
+    let warm = run("warm");
+    let hits_after_warm: u64 = caches.stats().iter().map(|(_, s)| s.hits).sum();
+    assert!(hits_after_warm > hits_after_cold, "the warm study must hit the caches");
+    assert_eq!(warm.outcomes, cold.outcomes);
 }
 
 #[test]
 fn study_outcomes_identical_across_worker_counts() {
     // The full study path: referral filtering, splicing of clean
     // outcomes for self/popular referrals, index alignment.
-    let run = |scan_workers: usize| {
-        let config = StudyConfig::builder()
-            .seed(31)
-            .crawl_scale(0.0003)
-            .domain_scale(0.03)
-            .scan_workers(scan_workers)
-            .build()
-            .expect("valid config");
-        Study::run(&config)
-    };
-    let serial = run(1);
+    let serial = Study::run(&config(31, 1));
     for workers in [2usize, 4, 7] {
-        let parallel = run(workers);
+        let parallel = Study::run(&config(31, workers));
         assert_eq!(
             parallel.outcomes, serial.outcomes,
             "study outcomes diverged at {workers} workers"
         );
         assert_eq!(parallel.store.len(), serial.store.len());
+        assert_eq!(parallel.referrals, serial.referrals);
     }
 }

@@ -2,9 +2,9 @@
 //! substrate (`exchange`, `adnet`, `torrent`) the seeded study must be
 //! a pure function of its configuration — identical corpus JSONL, scan
 //! outcomes and export JSON across scan-worker counts {1, 2, 4, 8},
-//! with the streaming (overlap) pipeline bit-identical to the
-//! phase-barrier one, and a crawl killed between checkpoint rounds and
-//! resumed from disk bit-identical to one that never stopped.
+//! with the streamed pipeline bit-identical to one that crawls to the
+//! end before it scans, and a crawl killed between checkpoint rounds
+//! and resumed from disk bit-identical to one that never stopped.
 //!
 //! The exchange substrate additionally carries a byte-level golden pin
 //! in `exchange_golden_regression.rs`; this suite holds the invariants
@@ -19,13 +19,12 @@ use malware_slums::substrate::Substrate;
 
 const SEED: u64 = 2016;
 
-fn config_for(substrate: Substrate, workers: usize, overlap: bool) -> StudyConfig {
+fn config_for(substrate: Substrate, workers: usize) -> StudyConfig {
     StudyConfig::builder()
         .seed(SEED)
         .crawl_scale(0.0005)
         .domain_scale(0.03)
         .scan_workers(workers)
-        .overlap_scan(overlap)
         .substrate(substrate)
         .build()
         .expect("valid config")
@@ -42,11 +41,11 @@ fn fingerprint(study: &Study) -> (String, String) {
 #[test]
 fn every_substrate_is_identical_across_worker_counts() {
     for substrate in Substrate::ALL {
-        let baseline = Study::run(&config_for(substrate, 1, false));
+        let baseline = Study::run(&config_for(substrate, 1));
         let (base_jsonl, base_export) = fingerprint(&baseline);
         assert!(baseline.store.len() > 0, "{}: empty corpus", substrate.name());
         for workers in [2usize, 4, 8] {
-            let study = Study::run(&config_for(substrate, workers, false));
+            let study = Study::run(&config_for(substrate, workers));
             assert_eq!(
                 study.outcomes,
                 baseline.outcomes,
@@ -74,19 +73,26 @@ fn every_substrate_is_identical_across_worker_counts() {
 
 #[test]
 fn every_substrate_streams_bit_identical_to_the_barrier_pipeline() {
+    // A kill point that never fires makes the crawl run to its end
+    // before the scan starts; the streamed direct run must not differ.
     for substrate in Substrate::ALL {
-        let barrier = Study::run(&config_for(substrate, 4, false));
-        let overlap = Study::run(&config_for(substrate, 4, true));
+        let config = config_for(substrate, 4);
+        let streamed = Study::run(&config);
+        let dir = scratch_dir(&format!("barrier-{}", substrate.name()));
+        let barrier = Study::run_to_checkpoint(&config, &dir, u64::MAX)
+            .expect("barrier run does checkpoint I/O")
+            .expect("an unfired kill completes the run");
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
-            overlap.outcomes,
+            streamed.outcomes,
             barrier.outcomes,
-            "{}: overlap outcomes diverged",
+            "{}: streamed outcomes diverged",
             substrate.name()
         );
         assert_eq!(
-            fingerprint(&overlap),
+            fingerprint(&streamed),
             fingerprint(&barrier),
-            "{}: overlap corpus/export diverged",
+            "{}: streamed corpus/export diverged",
             substrate.name()
         );
     }
