@@ -327,16 +327,17 @@ print(f"SUBSTRATE smoke test OK ({substrate}): "
 EOF
 done
 
-# Exchange golden byte-diff: the default substrate must stay
-# byte-identical to the pre-substrate pipeline at the pinned
-# seed/scale (the same pin tests/exchange_golden_regression.rs holds).
-cargo run --release -p slum-bench --bin repro -- \
-    table1 table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 \
-    --scale 0.0005 --seed 2016 > "$golden_out" 2>/dev/null
+# Golden byte-diff: every substrate must stay byte-identical to its
+# pin at the pinned seed/scale (the same pins
+# tests/{exchange,substrate}_golden_regression.rs hold).
+for substrate in exchange adnet torrent; do
+    "$repro_bin" table1 table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 \
+        --scale 0.0005 --seed 2016 --substrate "$substrate" > "$golden_out" 2>/dev/null
 
-diff -u scripts/golden/exchange_artifacts.golden.txt "$golden_out" \
-    || { echo "GOLDEN smoke test: exchange artifacts diverged from the golden pin"; exit 1; }
-echo "GOLDEN smoke test OK: exchange artifacts byte-identical to the pin"
+    diff -u "scripts/golden/${substrate}_artifacts.golden.txt" "$golden_out" \
+        || { echo "GOLDEN smoke test: $substrate artifacts diverged from the golden pin"; exit 1; }
+    echo "GOLDEN smoke test OK: $substrate artifacts byte-identical to the pin"
+done
 
 # Study-service smoke test: the resident daemon must accept two
 # tenants' studies on different substrates, schedule them concurrently,
