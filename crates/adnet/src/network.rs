@@ -5,7 +5,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use slum_exchange::{ExchangeKind, SurfStep, TrafficSource};
-use slum_websim::rng::{path_token, pick_weighted};
+use slum_websim::rng::{path_token, Rotation};
 use slum_websim::Url;
 
 /// One creative in the network's rotation: an ad whose click-through
@@ -56,6 +56,8 @@ pub struct AdNetwork {
     premium: Vec<Url>,
     creatives: Vec<Creative>,
     flights: Vec<Flight>,
+    /// Creative weights plus flight boosts, in `creatives` order.
+    rotation: Rotation,
     self_fraction: f64,
     premium_fraction: f64,
     min_surf_secs: u32,
@@ -86,6 +88,7 @@ impl AdNetwork {
             name: name.into(),
             home,
             premium,
+            rotation: Rotation::new(creatives.iter().map(|c| c.weight).collect()),
             creatives,
             flights: Vec::new(),
             self_fraction,
@@ -119,20 +122,11 @@ impl AdNetwork {
                 weight: 0.0,
                 malicious: false,
             });
+            self.rotation.push_slot(0.0);
         }
+        let slots = (0..self.creatives.len()).filter(|&i| self.creatives[i].url == flight.target);
+        self.rotation.add_window(slots.collect(), flight.start, flight.end, flight.boost);
         self.flights.push(flight);
-    }
-
-    /// Effective rotation weight of creative `i` at time `t`.
-    fn effective_weight(&self, i: usize, t: u64) -> f64 {
-        let creative = &self.creatives[i];
-        let boost: f64 = self
-            .flights
-            .iter()
-            .filter(|f| f.active_at(t) && f.target == creative.url)
-            .map(|f| f.boost)
-            .sum();
-        creative.weight + boost
     }
 }
 
@@ -167,14 +161,7 @@ impl TrafficSource for AdNetwork {
         } else if roll < self.self_fraction + self.premium_fraction && !self.premium.is_empty() {
             self.premium[rng.gen_range(0..self.premium.len())].clone()
         } else {
-            let weights: Vec<f64> =
-                (0..self.creatives.len()).map(|i| self.effective_weight(i, t)).collect();
-            let total: f64 = weights.iter().sum();
-            let idx = if total <= 0.0 {
-                rng.gen_range(0..self.creatives.len())
-            } else {
-                pick_weighted(rng, &weights)
-            };
+            let idx = self.rotation.pick(t, rng);
             let base = &self.creatives[idx].url;
             campaign_boosted = self
                 .flights

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use slum_websim::rng::{path_token, pick_weighted};
+use slum_websim::rng::{path_token, Rotation};
 use slum_websim::Url;
 
 use crate::campaign::Campaign;
@@ -83,6 +83,8 @@ pub struct Exchange {
     popular: Vec<Url>,
     listings: Vec<Listing>,
     campaigns: Vec<Campaign>,
+    /// Listing weights plus campaign boosts, in `listings` order.
+    rotation: Rotation,
     self_fraction: f64,
     popular_fraction: f64,
     min_surf_secs: u32,
@@ -116,6 +118,7 @@ impl Exchange {
             kind,
             home,
             popular,
+            rotation: Rotation::new(listings.iter().map(|l| l.weight).collect()),
             listings,
             campaigns: Vec::new(),
             self_fraction,
@@ -179,20 +182,11 @@ impl Exchange {
                 weight: 0.0,
                 malicious: false,
             });
+            self.rotation.push_slot(0.0);
         }
+        let slots = (0..self.listings.len()).filter(|&i| self.listings[i].url == campaign.target);
+        self.rotation.add_window(slots.collect(), campaign.start, campaign.end, campaign.boost);
         self.campaigns.push(campaign);
-    }
-
-    /// Effective rotation weight of listing `i` at time `t`.
-    fn effective_weight(&self, i: usize, t: u64) -> f64 {
-        let listing = &self.listings[i];
-        let boost: f64 = self
-            .campaigns
-            .iter()
-            .filter(|c| c.active_at(t) && c.target == listing.url)
-            .map(|c| c.boost)
-            .sum();
-        listing.weight + boost
     }
 
     /// Produces the next surf step at virtual time `t`.
@@ -209,14 +203,7 @@ impl Exchange {
         } else if roll < self.self_fraction + self.popular_fraction && !self.popular.is_empty() {
             self.popular[rng.gen_range(0..self.popular.len())].clone()
         } else {
-            let weights: Vec<f64> =
-                (0..self.listings.len()).map(|i| self.effective_weight(i, t)).collect();
-            let total: f64 = weights.iter().sum();
-            let idx = if total <= 0.0 {
-                rng.gen_range(0..self.listings.len())
-            } else {
-                pick_weighted(rng, &weights)
-            };
+            let idx = self.rotation.pick(t, rng);
             let base = &self.listings[idx].url;
             campaign_boosted = self
                 .campaigns

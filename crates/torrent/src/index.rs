@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use slum_exchange::captcha::Captcha;
 use slum_exchange::{ExchangeKind, SurfStep, TrafficSource};
-use slum_websim::rng::{path_token, pick_weighted};
+use slum_websim::rng::{path_token, Rotation};
 use slum_websim::Url;
 
 /// One torrent listing: a swarm whose "download" link lands on the
@@ -35,6 +35,8 @@ pub struct TorrentIndex {
     /// Community mirror sites the index cross-links.
     mirrors: Vec<Url>,
     listings: Vec<TorrentListing>,
+    /// Listing weights, in `listings` order.
+    rotation: Rotation,
     self_fraction: f64,
     mirror_fraction: f64,
     min_surf_secs: u32,
@@ -69,6 +71,7 @@ impl TorrentIndex {
             kind,
             home,
             mirrors,
+            rotation: Rotation::new(listings.iter().map(|l| l.weight).collect()),
             listings,
             self_fraction,
             mirror_fraction,
@@ -111,7 +114,7 @@ impl TrafficSource for TorrentIndex {
     /// Manual-surf indexes CAPTCHA-gate every download; the nonce
     /// counter advances exactly like the manual-surf exchanges' so
     /// checkpoint resume regenerates the identical challenge sequence.
-    fn next_step(&mut self, _t: u64, rng: &mut StdRng) -> SurfStep {
+    fn next_step(&mut self, t: u64, rng: &mut StdRng) -> SurfStep {
         let roll: f64 = rng.gen();
         let url = if roll < self.self_fraction {
             // Paginated browse pages: same host, varying path.
@@ -124,13 +127,7 @@ impl TrafficSource for TorrentIndex {
         } else if roll < self.self_fraction + self.mirror_fraction && !self.mirrors.is_empty() {
             self.mirrors[rng.gen_range(0..self.mirrors.len())].clone()
         } else {
-            let weights: Vec<f64> = self.listings.iter().map(|l| l.weight).collect();
-            let total: f64 = weights.iter().sum();
-            let idx = if total <= 0.0 {
-                rng.gen_range(0..self.listings.len())
-            } else {
-                pick_weighted(rng, &weights)
-            };
+            let idx = self.rotation.pick(t, rng);
             let base = &self.listings[idx].url;
             if rng.gen_bool(0.7) {
                 let token = path_token(rng, 6);

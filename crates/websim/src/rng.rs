@@ -18,7 +18,13 @@ pub fn pick_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
     assert!(!weights.is_empty(), "weights must be non-empty");
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must sum to a positive value");
-    let mut needle = rng.gen_range(0.0..total);
+    scan_weighted(weights, rng.gen_range(0.0..total))
+}
+
+/// The subtractive scan behind a weighted pick: the index whose weight
+/// interval holds `needle` (the last index if rounding runs past the
+/// end).
+fn scan_weighted(weights: &[f64], mut needle: f64) -> usize {
     for (i, w) in weights.iter().enumerate() {
         if needle < *w {
             return i;
@@ -26,6 +32,109 @@ pub fn pick_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
         needle -= w;
     }
     weights.len() - 1
+}
+
+/// A weighted rotation over slots whose base weights get additive
+/// boosts inside time windows — the listing rotation every traffic
+/// source shares (exchange campaigns, ad-network flights, torrent swarm
+/// heat with no windows at all).
+///
+/// The effective weights and their total are cached for the current
+/// set of active windows and recomputed only when that set changes, so
+/// a pick is one draw plus one scan. A pick draws exactly what
+/// [`pick_weighted`] over the per-step effective weights would: the
+/// same `gen_range(0.0..total)` and the same scan, or `gen_range(0..len)`
+/// when the total is not positive.
+#[derive(Debug, Clone)]
+pub struct Rotation {
+    base: Vec<f64>,
+    windows: Vec<BoostWindow>,
+    /// Which windows were active when `weights` was computed.
+    active: Vec<bool>,
+    weights: Vec<f64>,
+    total: f64,
+}
+
+/// An additive boost on some slots over the virtual seconds `start..end`.
+#[derive(Debug, Clone)]
+struct BoostWindow {
+    slots: Vec<usize>,
+    start: u64,
+    end: u64,
+    boost: f64,
+}
+
+impl BoostWindow {
+    fn active_at(&self, t: u64) -> bool {
+        (self.start..self.end).contains(&t)
+    }
+}
+
+impl Rotation {
+    /// A rotation over slots with the given base weights and no
+    /// windows.
+    pub fn new(base: Vec<f64>) -> Self {
+        Rotation { base, windows: Vec::new(), active: Vec::new(), weights: Vec::new(), total: 0.0 }
+    }
+
+    /// Appends a slot with base weight `weight`.
+    pub fn push_slot(&mut self, weight: f64) {
+        self.base.push(weight);
+    }
+
+    /// Adds `boost` to the weight of each of `slots` while `t` is in
+    /// `start..end`. Boosts on one slot add up in the order they were
+    /// added, before the sum joins the base weight.
+    pub fn add_window(&mut self, slots: Vec<usize>, start: u64, end: u64, boost: f64) {
+        debug_assert!(slots.iter().all(|&i| i < self.base.len()), "window on an unknown slot");
+        self.windows.push(BoostWindow { slots, start, end, boost });
+    }
+
+    /// Picks a slot at virtual time `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rotation is empty.
+    pub fn pick(&mut self, t: u64, rng: &mut StdRng) -> usize {
+        self.refresh(t);
+        if self.total <= 0.0 {
+            rng.gen_range(0..self.base.len())
+        } else {
+            scan_weighted(&self.weights, rng.gen_range(0.0..self.total))
+        }
+    }
+
+    /// The effective weights at virtual time `t`, in slot order.
+    pub fn weights_at(&mut self, t: u64) -> &[f64] {
+        self.refresh(t);
+        &self.weights
+    }
+
+    /// Recomputes the cached weights if the set of windows active at
+    /// `t` differs from the cached one. A slot or window added since
+    /// the last recompute shows as a length mismatch.
+    fn refresh(&mut self, t: u64) {
+        let fresh = self.weights.len() == self.base.len()
+            && self.active.len() == self.windows.len()
+            && self.windows.iter().zip(&self.active).all(|(w, &on)| w.active_at(t) == on);
+        if fresh {
+            return;
+        }
+        self.active.clear();
+        self.active.extend(self.windows.iter().map(|w| w.active_at(t)));
+        self.weights.clear();
+        for (i, base) in self.base.iter().enumerate() {
+            let boost: f64 = self
+                .windows
+                .iter()
+                .zip(&self.active)
+                .filter(|(w, &on)| on && w.slots.contains(&i))
+                .map(|(w, _)| w.boost)
+                .sum();
+            self.weights.push(base + boost);
+        }
+        self.total = self.weights.iter().sum();
+    }
 }
 
 /// Samples a heavy-tailed hit count in `[min, max]` using a bounded
