@@ -271,7 +271,9 @@ impl<'w> Browser<'w> {
     /// Executes inline scripts, external scripts and Flash movies of the
     /// final page; aggregates effects into `result.js`.
     fn run_page_scripts(&self, result: &mut LoadResult) {
-        let Some(dom) = result.dom.clone() else { return };
+        // Borrowed out of `result` (the loop below writes to it) and put
+        // back at the end.
+        let Some(dom) = result.dom.take() else { return };
         let page_url = result.final_url.clone();
         let mut merged = SandboxReport::default();
 
@@ -375,6 +377,7 @@ impl<'w> Browser<'w> {
             result.popups.push(url);
         }
         result.js = merged;
+        result.dom = Some(dom);
     }
 
     /// Follows a script-initiated navigation: downloads land in

@@ -254,7 +254,7 @@ mod tests {
         let site = b.benign_site(Default::default());
         let web = b.finish();
         let load = Browser::new(&web).load(&site.url);
-        let record = slum_crawler::CrawlRecord::from_load("10KHits", 0, 0, &load);
+        let record = slum_crawler::CrawlRecord::from_load("10KHits", 0, 0, load);
 
         let organic = guard.audit(std::slice::from_ref(&record), &[String::new()]);
         assert_eq!(organic.fraudulent, 0);
@@ -279,7 +279,7 @@ mod tests {
         let home = b.exchange_home("otohits.exchange.example");
         let web = b.finish();
         let load = Browser::new(&web).load(&home.url);
-        let record = slum_crawler::CrawlRecord::from_load("Otohits", 0, 0, &load);
+        let record = slum_crawler::CrawlRecord::from_load("Otohits", 0, 0, load);
         assert_eq!(guard.classify(&record), ImpressionVerdict::ExchangeFraud);
     }
 

@@ -791,7 +791,7 @@ mod tests {
 
     fn record_for(web: &SyntheticWeb, url: &Url) -> CrawlRecord {
         let load = Browser::new(web).load(url);
-        CrawlRecord::from_load("test", 0, 0, &load)
+        CrawlRecord::from_load("test", 0, 0, load)
     }
 
     /// Streams `records` through [`ScanPipeline::scan_stream`] as one

@@ -374,7 +374,7 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
         if load.failed {
             cursor.load_failures += 1;
         }
-        let mut record = CrawlRecord::from_load(&cursor.exchange, cursor.seq, cursor.t, &load);
+        let mut record = CrawlRecord::from_load(&cursor.exchange, cursor.seq, cursor.t, load);
         if !config.capture_content {
             record.content = None;
         }

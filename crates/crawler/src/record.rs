@@ -41,8 +41,8 @@ pub struct CrawlRecord {
 }
 
 impl CrawlRecord {
-    /// Builds a record from a browser load.
-    pub fn from_load(exchange: &str, seq: u64, at: u64, load: &LoadResult) -> CrawlRecord {
+    /// Builds a record from a browser load, moving its captures.
+    pub fn from_load(exchange: &str, seq: u64, at: u64, load: LoadResult) -> CrawlRecord {
         let mut chain_hosts: Vec<String> = Vec::new();
         let mut push_host = |h: &str| {
             if chain_hosts.last().map(String::as_str) != Some(h) {
@@ -59,15 +59,15 @@ impl CrawlRecord {
             exchange: exchange.to_string(),
             seq,
             at,
-            url: load.requested_url.clone(),
-            final_url: load.final_url.clone(),
             redirect_hops: load.redirect_count(),
             chain_hosts,
             via_shortener: load.chain.iter().any(|h| h.kind == RedirectKind::Shortener),
             via_js_redirect: load.chain.iter().any(|h| h.kind == RedirectKind::JsLocation),
-            content: load.html.clone(),
-            download_filenames: load.downloads.iter().map(|d| d.filename.clone()).collect(),
-            har: load.har.clone(),
+            url: load.requested_url,
+            final_url: load.final_url,
+            content: load.html,
+            download_filenames: load.downloads.into_iter().map(|d| d.filename).collect(),
+            har: load.har,
             failed: load.failed,
         }
     }
@@ -96,7 +96,7 @@ mod tests {
         let spec = b.redirect_chain_site(3, Tld::Com, ContentCategory::Business);
         let web = b.finish();
         let load = Browser::new(&web).at_time(42).load(&spec.url);
-        let rec = CrawlRecord::from_load("10KHits", 7, 42, &load);
+        let rec = CrawlRecord::from_load("10KHits", 7, 42, load);
 
         assert_eq!(rec.exchange, "10KHits");
         assert_eq!(rec.seq, 7);
@@ -114,7 +114,7 @@ mod tests {
         let site = b.benign_site(Default::default());
         let web = b.finish();
         let load = Browser::new(&web).load(&site.url);
-        let rec = CrawlRecord::from_load("Otohits", 0, 0, &load);
+        let rec = CrawlRecord::from_load("Otohits", 0, 0, load);
         let json = serde_json::to_string(&rec).unwrap();
         let back: CrawlRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back.url, rec.url);
@@ -127,7 +127,7 @@ mod tests {
         let site = b.benign_site(Default::default());
         let web = b.finish();
         let load = Browser::new(&web).load(&site.url);
-        let rec = CrawlRecord::from_load("x", 0, 0, &load);
+        let rec = CrawlRecord::from_load("x", 0, 0, load);
         assert_eq!(rec.chain_hosts.len(), 1, "{:?}", rec.chain_hosts);
     }
 }

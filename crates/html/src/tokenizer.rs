@@ -185,9 +185,7 @@ impl<'a> Tokenizer<'a> {
     /// case-insensitive end tag into a single text token.
     fn consume_raw_text(&mut self, name: &str) {
         let rest = self.rest();
-        let closer = format!("</{name}");
-        let lower = rest.to_ascii_lowercase();
-        match lower.find(&closer) {
+        match find_end_tag(rest, name) {
             Some(idx) => {
                 let body = &rest[..idx];
                 if !body.is_empty() {
@@ -208,6 +206,15 @@ impl<'a> Tokenizer<'a> {
             }
         }
     }
+}
+
+/// Byte offset of the first `</name` in `s`, ignoring ASCII case
+/// (`name` is lower-case ASCII, so offsets match a search of the
+/// lower-cased text).
+fn find_end_tag(s: &str, name: &str) -> Option<usize> {
+    s.match_indices("</").map(|(i, _)| i).find(|&i| {
+        s.as_bytes()[i + 2..].get(..name.len()).is_some_and(|tag| tag.eq_ignore_ascii_case(name.as_bytes()))
+    })
 }
 
 /// Finds the index of the `>` terminating a tag that starts at byte 0 of
@@ -340,6 +347,52 @@ mod tests {
         assert!(matches!(&t[1], Token::Text(s) if s == "x=1"));
         assert!(matches!(&t[2], Token::EndTag { name } if name == "script"));
         assert!(matches!(&t[3], Token::Text(s) if s == "after"));
+    }
+
+    #[test]
+    fn end_tag_search_matches_lowercased_search() {
+        let old = |s: &str, name: &str| s.to_ascii_lowercase().find(&format!("</{name}"));
+        let cases = [
+            "",
+            "<",
+            "</",
+            "</scrip",
+            "x</ScRiPt>y</script>",
+            "a</ <//script</SCRIPT",
+            "é</Style>ü</style",
+            "</textareA></TITLE></title>",
+            "if (a</b) {}</sCrIpT >",
+        ];
+        for case in cases {
+            for name in RAW_TEXT_ELEMENTS {
+                assert_eq!(find_end_tag(case, name), old(case, name), "{case:?} / {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn many_raw_text_elements_with_mixed_case_closers() {
+        let closers = ["</script>", "</SCRIPT>", "</Script >", "</sCrIpT>"];
+        let mut html = String::from("<TITLE>t</TiTlE><style>a{}</STYLE>");
+        for i in 0..200 {
+            html.push_str(&format!("<script>var x{i} = a</b;</x>{}<p>{i}</p>", closers[i % 4]));
+        }
+        let t = tokenize(&html);
+        assert!(matches!(&t[1], Token::Text(s) if s == "t"));
+        assert!(matches!(&t[4], Token::Text(s) if s == "a{}"));
+        let bodies: Vec<&str> = t
+            .windows(2)
+            .filter_map(|w| match (&w[0], &w[1]) {
+                (Token::StartTag { name, .. }, Token::Text(s)) if name == "script" => Some(s.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bodies.len(), 200);
+        for (i, body) in bodies.iter().enumerate() {
+            assert_eq!(*body, format!("var x{i} = a</b;</x>"));
+        }
+        let ends = t.iter().filter(|tok| matches!(tok, Token::EndTag { name } if name == "script"));
+        assert_eq!(ends.count(), 200);
     }
 
     #[test]
