@@ -5,7 +5,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use slum_exchange::{ExchangeKind, SurfStep, TrafficSource};
-use slum_websim::rng::{path_token, Rotation};
+use slum_websim::rng::{tag_url, Rotation};
 use slum_websim::Url;
 
 /// One creative in the network's rotation: an ad whose click-through
@@ -125,7 +125,7 @@ impl AdNetwork {
             self.rotation.push_slot(0.0);
         }
         let slots = (0..self.creatives.len()).filter(|&i| self.creatives[i].url == flight.target);
-        self.rotation.add_window(slots.collect(), flight.start, flight.end, flight.boost);
+        self.rotation.add_window(slots.collect(), flight.start..flight.end, flight.boost);
         self.flights.push(flight);
     }
 }
@@ -162,18 +162,11 @@ impl TrafficSource for AdNetwork {
             self.premium[rng.gen_range(0..self.premium.len())].clone()
         } else {
             let idx = self.rotation.pick(t, rng);
-            let base = &self.creatives[idx].url;
             campaign_boosted = self
                 .flights
                 .iter()
                 .any(|f| f.active_at(t) && f.target == self.creatives[idx].url);
-            if rng.gen_bool(0.7) {
-                let token = path_token(rng, 8);
-                let path = format!("{}?imp={}", base.path(), token);
-                base.with_path(&path)
-            } else {
-                base.clone()
-            }
+            tag_url(rng, &self.creatives[idx].url, "imp", 8)
         };
         SurfStep { url, min_surf_secs: self.min_surf_secs, captcha: None, campaign_boosted }
     }

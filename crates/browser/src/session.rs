@@ -271,8 +271,7 @@ impl<'w> Browser<'w> {
     /// Executes inline scripts, external scripts and Flash movies of the
     /// final page; aggregates effects into `result.js`.
     fn run_page_scripts(&self, result: &mut LoadResult) {
-        // Borrowed out of `result` (the loop below writes to it) and put
-        // back at the end.
+        // Taken out of `result` while scripts run, put back at the end.
         let Some(dom) = result.dom.take() else { return };
         let page_url = result.final_url.clone();
         let mut merged = SandboxReport::default();

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use slum_websim::rng::{path_token, Rotation};
+use slum_websim::rng::{tag_url, Rotation};
 use slum_websim::Url;
 
 use crate::campaign::Campaign;
@@ -185,7 +185,7 @@ impl Exchange {
             self.rotation.push_slot(0.0);
         }
         let slots = (0..self.listings.len()).filter(|&i| self.listings[i].url == campaign.target);
-        self.rotation.add_window(slots.collect(), campaign.start, campaign.end, campaign.boost);
+        self.rotation.add_window(slots.collect(), campaign.start..campaign.end, campaign.boost);
         self.campaigns.push(campaign);
     }
 
@@ -204,20 +204,13 @@ impl Exchange {
             self.popular[rng.gen_range(0..self.popular.len())].clone()
         } else {
             let idx = self.rotation.pick(t, rng);
-            let base = &self.listings[idx].url;
             campaign_boosted = self
                 .campaigns
                 .iter()
                 .any(|c| c.active_at(t) && c.target == self.listings[idx].url);
             // Exchanges append tracking parameters, which is why the
             // corpus has ~18 distinct URLs per domain.
-            if rng.gen_bool(0.7) {
-                let token = path_token(rng, 6);
-                let path = format!("{}?sid={}", base.path(), token);
-                base.with_path(&path)
-            } else {
-                base.clone()
-            }
+            tag_url(rng, &self.listings[idx].url, "sid", 6)
         };
         let captcha = match self.kind {
             ExchangeKind::ManualSurf => {

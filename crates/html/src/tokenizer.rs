@@ -209,11 +209,11 @@ impl<'a> Tokenizer<'a> {
 }
 
 /// Byte offset of the first `</name` in `s`, ignoring ASCII case
-/// (`name` is lower-case ASCII, so offsets match a search of the
-/// lower-cased text).
+/// (`name` is lower-case ASCII).
 fn find_end_tag(s: &str, name: &str) -> Option<usize> {
     s.match_indices("</").map(|(i, _)| i).find(|&i| {
-        s.as_bytes()[i + 2..].get(..name.len()).is_some_and(|tag| tag.eq_ignore_ascii_case(name.as_bytes()))
+        let tag = s.as_bytes()[i + 2..].get(..name.len());
+        tag.is_some_and(|tag| tag.eq_ignore_ascii_case(name.as_bytes()))
     })
 }
 
@@ -383,7 +383,9 @@ mod tests {
         let bodies: Vec<&str> = t
             .windows(2)
             .filter_map(|w| match (&w[0], &w[1]) {
-                (Token::StartTag { name, .. }, Token::Text(s)) if name == "script" => Some(s.as_str()),
+                (Token::StartTag { name, .. }, Token::Text(s)) if name == "script" => {
+                    Some(s.as_str())
+                }
                 _ => None,
             })
             .collect();

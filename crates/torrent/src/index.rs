@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use slum_exchange::captcha::Captcha;
 use slum_exchange::{ExchangeKind, SurfStep, TrafficSource};
-use slum_websim::rng::{path_token, Rotation};
+use slum_websim::rng::{path_token, tag_url, Rotation};
 use slum_websim::Url;
 
 /// One torrent listing: a swarm whose "download" link lands on the
@@ -128,13 +128,7 @@ impl TrafficSource for TorrentIndex {
             self.mirrors[rng.gen_range(0..self.mirrors.len())].clone()
         } else {
             let idx = self.rotation.pick(t, rng);
-            let base = &self.listings[idx].url;
-            if rng.gen_bool(0.7) {
-                let token = path_token(rng, 6);
-                base.with_path(&format!("{}?dl={}", base.path(), token))
-            } else {
-                base.clone()
-            }
+            tag_url(rng, &self.listings[idx].url, "dl", 6)
         };
         let captcha = match self.kind {
             ExchangeKind::ManualSurf => {

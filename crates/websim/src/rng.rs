@@ -1,7 +1,11 @@
 //! Deterministic randomness helpers for the generators.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::Url;
 
 /// Creates a seeded RNG. All generation in the workspace flows from
 /// explicit seeds so every experiment is exactly reproducible.
@@ -34,45 +38,33 @@ fn scan_weighted(weights: &[f64], mut needle: f64) -> usize {
     weights.len() - 1
 }
 
-/// A weighted rotation over slots whose base weights get additive
-/// boosts inside time windows — the listing rotation every traffic
-/// source shares (exchange campaigns, ad-network flights, torrent swarm
-/// heat with no windows at all).
-///
-/// The effective weights and their total are cached for the current
-/// set of active windows and recomputed only when that set changes, so
-/// a pick is one draw plus one scan. A pick draws exactly what
-/// [`pick_weighted`] over the per-step effective weights would: the
-/// same `gen_range(0.0..total)` and the same scan, or `gen_range(0..len)`
-/// when the total is not positive.
+/// The listing rotation every traffic source shares: base weights plus
+/// additive boosts on some slots inside virtual-time windows (exchange
+/// campaigns, ad-network flights). The effective weights and their
+/// total are cached per set of active windows, so a pick is one draw
+/// and one scan; it draws exactly what [`pick_weighted`] over the
+/// per-step effective weights would, or `gen_range(0..len)` when the
+/// total is not positive.
 #[derive(Debug, Clone)]
 pub struct Rotation {
     base: Vec<f64>,
-    windows: Vec<BoostWindow>,
+    windows: Vec<Boost>,
     /// Which windows were active when `weights` was computed.
     active: Vec<bool>,
     weights: Vec<f64>,
     total: f64,
 }
 
-/// An additive boost on some slots over the virtual seconds `start..end`.
+/// An additive boost on `slots` while the virtual time is in `span`.
 #[derive(Debug, Clone)]
-struct BoostWindow {
+struct Boost {
     slots: Vec<usize>,
-    start: u64,
-    end: u64,
-    boost: f64,
-}
-
-impl BoostWindow {
-    fn active_at(&self, t: u64) -> bool {
-        (self.start..self.end).contains(&t)
-    }
+    span: Range<u64>,
+    amount: f64,
 }
 
 impl Rotation {
-    /// A rotation over slots with the given base weights and no
-    /// windows.
+    /// A rotation over slots with the given base weights.
     pub fn new(base: Vec<f64>) -> Self {
         Rotation { base, windows: Vec::new(), active: Vec::new(), weights: Vec::new(), total: 0.0 }
     }
@@ -82,19 +74,14 @@ impl Rotation {
         self.base.push(weight);
     }
 
-    /// Adds `boost` to the weight of each of `slots` while `t` is in
-    /// `start..end`. Boosts on one slot add up in the order they were
-    /// added, before the sum joins the base weight.
-    pub fn add_window(&mut self, slots: Vec<usize>, start: u64, end: u64, boost: f64) {
-        debug_assert!(slots.iter().all(|&i| i < self.base.len()), "window on an unknown slot");
-        self.windows.push(BoostWindow { slots, start, end, boost });
+    /// Adds `amount` to each of `slots` while the virtual time is in
+    /// `span`. A slot's boosts are summed in the order added, then
+    /// added to its base weight.
+    pub fn add_window(&mut self, slots: Vec<usize>, span: Range<u64>, amount: f64) {
+        self.windows.push(Boost { slots, span, amount });
     }
 
-    /// Picks a slot at virtual time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rotation is empty.
+    /// Picks a slot at virtual time `t`. Panics if there are no slots.
     pub fn pick(&mut self, t: u64, rng: &mut StdRng) -> usize {
         self.refresh(t);
         if self.total <= 0.0 {
@@ -104,35 +91,23 @@ impl Rotation {
         }
     }
 
-    /// The effective weights at virtual time `t`, in slot order.
-    pub fn weights_at(&mut self, t: u64) -> &[f64] {
-        self.refresh(t);
-        &self.weights
-    }
-
-    /// Recomputes the cached weights if the set of windows active at
-    /// `t` differs from the cached one. A slot or window added since
-    /// the last recompute shows as a length mismatch.
+    /// Recomputes the cached weights unless they were computed for the
+    /// same slots, windows and set of active windows.
     fn refresh(&mut self, t: u64) {
         let fresh = self.weights.len() == self.base.len()
             && self.active.len() == self.windows.len()
-            && self.windows.iter().zip(&self.active).all(|(w, &on)| w.active_at(t) == on);
+            && self.windows.iter().zip(&self.active).all(|(w, &on)| w.span.contains(&t) == on);
         if fresh {
             return;
         }
-        self.active.clear();
-        self.active.extend(self.windows.iter().map(|w| w.active_at(t)));
-        self.weights.clear();
-        for (i, base) in self.base.iter().enumerate() {
-            let boost: f64 = self
-                .windows
-                .iter()
-                .zip(&self.active)
-                .filter(|(w, &on)| on && w.slots.contains(&i))
-                .map(|(w, _)| w.boost)
-                .sum();
-            self.weights.push(base + boost);
-        }
+        self.active = self.windows.iter().map(|w| w.span.contains(&t)).collect();
+        let on = || self.windows.iter().zip(&self.active).filter(|(_, &on)| on).map(|(w, _)| w);
+        self.weights = (0..self.base.len())
+            .map(|i| {
+                let boost: f64 = on().filter(|w| w.slots.contains(&i)).map(|w| w.amount).sum();
+                self.base[i] + boost
+            })
+            .collect();
         self.total = self.weights.iter().sum();
     }
 }
@@ -147,6 +122,17 @@ pub fn heavy_tail(rng: &mut StdRng, min: u64, max: u64) -> u64 {
     let hi = (max as f64).ln();
     let x = rng.gen_range(lo..hi);
     (x.exp() as u64).clamp(min, max)
+}
+
+/// `base` with a random tracking query `?key=<len chars>` seven times in
+/// ten, else `base` itself. Traffic sources tag the URLs they serve this
+/// way, which is why distinct URLs pile up per domain in the corpus.
+pub fn tag_url(rng: &mut StdRng, base: &Url, key: &str, len: usize) -> Url {
+    if rng.gen_bool(0.7) {
+        base.with_path(&format!("{}?{key}={}", base.path(), path_token(rng, len)))
+    } else {
+        base.clone()
+    }
 }
 
 /// Lower-case syllables used to mint plausible, clearly synthetic
@@ -176,6 +162,7 @@ pub fn path_token(rng: &mut StdRng, len: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn seeded_is_deterministic() {
@@ -243,5 +230,122 @@ mod tests {
         let mut rng = seeded(5);
         assert_eq!(path_token(&mut rng, 6).len(), 6);
         assert_eq!(path_token(&mut rng, 0).len(), 0);
+    }
+
+    /// A boost window over every slot whose key equals `target`, the way
+    /// the traffic sources schedule campaigns and flights.
+    #[derive(Debug, Clone)]
+    struct Window {
+        target: u8,
+        span: Range<u64>,
+        boost: f64,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Draw(u64),
+        Schedule(Window),
+    }
+
+    /// The per-step rotation every source ran before [`Rotation`]:
+    /// rebuild the effective weights, sum them, then fall back to a
+    /// uniform draw or call `pick_weighted`. Returns the weights, the
+    /// index and whether an active window targets it.
+    fn per_step_pick(
+        keys: &[u8],
+        base: &[f64],
+        windows: &[Window],
+        t: u64,
+        rng: &mut StdRng,
+    ) -> (Vec<f64>, usize, bool) {
+        let active = |w: &Window| w.span.contains(&t);
+        let weights: Vec<f64> = (0..keys.len())
+            .map(|i| {
+                let boost: f64 = windows
+                    .iter()
+                    .filter(|w| active(w) && w.target == keys[i])
+                    .map(|w| w.boost)
+                    .sum();
+                base[i] + boost
+            })
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let idx =
+            if total <= 0.0 { rng.gen_range(0..keys.len()) } else { pick_weighted(rng, &weights) };
+        let boosted = windows.iter().any(|w| active(w) && w.target == keys[idx]);
+        (weights, idx, boosted)
+    }
+
+    fn bits(weights: &[f64]) -> Vec<u64> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
+
+    fn weight() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), 0.0f64..10.0, 0.0f64..1e-3]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let window = ((0u8..6, 0u64..120), (0u64..60, prop_oneof![Just(0.0), 0.0f64..50.0]))
+            .prop_map(|((target, start), (len, boost))| Window {
+                target,
+                span: start..start + len,
+                boost,
+            });
+        let draw = || (0u64..150).prop_map(Op::Draw);
+        prop_oneof![draw(), draw(), draw(), window.prop_map(Op::Schedule)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The cached rotation draws exactly what the per-step rebuild
+        /// did: bit-identical weights and total, the same index, the same
+        /// boosted flag and the same RNG state after every draw — over
+        /// zero weights and zero totals, windows on duplicate and unknown
+        /// keys, times that jump back and forth, and windows scheduled
+        /// between draws.
+        #[test]
+        fn rotation_matches_per_step_rebuild(
+            slots in proptest::collection::vec((0u8..4, weight()), 1..12),
+            zero_base in any::<bool>(),
+            ops in proptest::collection::vec(op(), 1..80),
+            seed in 0u64..1_000,
+        ) {
+            let mut keys: Vec<u8> = slots.iter().map(|s| s.0).collect();
+            let mut base: Vec<f64> =
+                slots.iter().map(|s| if zero_base { 0.0 } else { s.1 }).collect();
+            let mut windows: Vec<Window> = Vec::new();
+            let mut rotation = Rotation::new(base.clone());
+            let mut old_rng = seeded(seed);
+            let mut new_rng = seeded(seed);
+            for op in ops {
+                match op {
+                    Op::Schedule(w) => {
+                        // Unknown targets join with zero base weight.
+                        if !keys.contains(&w.target) {
+                            keys.push(w.target);
+                            base.push(0.0);
+                            rotation.push_slot(0.0);
+                        }
+                        let slots = (0..keys.len()).filter(|&i| keys[i] == w.target).collect();
+                        rotation.add_window(slots, w.span.clone(), w.boost);
+                        windows.push(w);
+                    }
+                    Op::Draw(t) => {
+                        let (old_weights, old_idx, old_boosted) =
+                            per_step_pick(&keys, &base, &windows, t, &mut old_rng);
+                        let idx = rotation.pick(t, &mut new_rng);
+                        let boosted =
+                            windows.iter().any(|w| w.span.contains(&t) && w.target == keys[idx]);
+                        prop_assert_eq!(bits(&rotation.weights), bits(&old_weights), "t = {}", t);
+                        let old_total: f64 = old_weights.iter().sum();
+                        prop_assert_eq!(rotation.total.to_bits(), old_total.to_bits());
+                        prop_assert_eq!(idx, old_idx, "t = {}", t);
+                        prop_assert_eq!(boosted, old_boosted);
+                        prop_assert_eq!(&new_rng, &old_rng);
+                    }
+                }
+            }
+        }
     }
 }

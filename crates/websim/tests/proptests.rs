@@ -1,13 +1,10 @@
 //! Property tests for the synthetic-web substrate: URL invariants,
-//! domain computation, generator determinism, shortener accounting,
-//! and the cached listing rotation against the per-step rebuild.
+//! domain computation, generator determinism, shortener accounting.
 
 use proptest::prelude::*;
 use slum_websim::build::{BenignOptions, MaliciousOptions, WebBuilder};
 use slum_websim::domain::registered_domain;
-use rand::rngs::StdRng;
-use rand::Rng;
-use slum_websim::rng::{heavy_tail, path_token, pick_weighted, seeded, Rotation};
+use slum_websim::rng::{heavy_tail, path_token, pick_weighted, seeded};
 use slum_websim::shortener::ShortenerService;
 use slum_websim::{RequestContext, Url};
 
@@ -133,111 +130,5 @@ proptest! {
             expected_total += v as u64;
         }
         prop_assert_eq!(svc.long_url_hits(&target), expected_total);
-    }
-}
-
-/// A boost window over every slot whose key equals `target`, as the
-/// traffic sources schedule campaigns and flights.
-#[derive(Debug, Clone)]
-struct Window {
-    target: u8,
-    start: u64,
-    end: u64,
-    boost: f64,
-}
-
-#[derive(Debug, Clone)]
-enum RotationOp {
-    Draw(u64),
-    Schedule(Window),
-}
-
-/// The per-step rotation every source ran before [`Rotation`]: rebuild
-/// the effective weights, sum them, then fall back to a uniform draw or
-/// call `pick_weighted`. Returns the weights, the index and whether an
-/// active window targets it.
-fn per_step_pick(
-    keys: &[u8],
-    base: &[f64],
-    windows: &[Window],
-    t: u64,
-    rng: &mut StdRng,
-) -> (Vec<f64>, usize, bool) {
-    let active = |w: &Window| (w.start..w.end).contains(&t);
-    let weights: Vec<f64> = (0..keys.len())
-        .map(|i| {
-            let boost: f64 =
-                windows.iter().filter(|w| active(w) && w.target == keys[i]).map(|w| w.boost).sum();
-            base[i] + boost
-        })
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let idx = if total <= 0.0 { rng.gen_range(0..keys.len()) } else { pick_weighted(rng, &weights) };
-    let boosted = windows.iter().any(|w| active(w) && w.target == keys[idx]);
-    (weights, idx, boosted)
-}
-
-fn bits(weights: &[f64]) -> Vec<u64> {
-    weights.iter().map(|w| w.to_bits()).collect()
-}
-
-fn weight_strategy() -> impl Strategy<Value = f64> {
-    prop_oneof![Just(0.0), 0.0f64..10.0, 0.0f64..1e-3]
-}
-
-fn rotation_op_strategy() -> impl Strategy<Value = RotationOp> {
-    let window = ((0u8..6, 0u64..120), (0u64..60, prop_oneof![Just(0.0), 0.0f64..50.0]))
-        .prop_map(|((target, start), (len, boost))| Window { target, start, end: start + len, boost });
-    let draw = || (0u64..150).prop_map(RotationOp::Draw);
-    prop_oneof![draw(), draw(), draw(), window.prop_map(RotationOp::Schedule)]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// The cached rotation draws exactly what the per-step rebuild did:
-    /// bit-identical weights, the same index, the same boosted flag and
-    /// the same RNG state after every draw, over zero weights and zero totals, windows on
-    /// duplicate and unknown keys, times that jump back and forth, and
-    /// windows scheduled between draws.
-    #[test]
-    fn rotation_matches_per_step_rebuild(
-        slots in proptest::collection::vec((0u8..4, weight_strategy()), 1..12),
-        zero_base in any::<bool>(),
-        ops in proptest::collection::vec(rotation_op_strategy(), 1..80),
-        seed in 0u64..1_000,
-    ) {
-        let mut keys: Vec<u8> = slots.iter().map(|s| s.0).collect();
-        let mut base: Vec<f64> = slots.iter().map(|s| if zero_base { 0.0 } else { s.1 }).collect();
-        let mut windows: Vec<Window> = Vec::new();
-        let mut rotation = Rotation::new(base.clone());
-        let mut old_rng = seeded(seed);
-        let mut new_rng = seeded(seed);
-        for op in ops {
-            match op {
-                RotationOp::Schedule(w) => {
-                    // Unknown targets join with zero base weight.
-                    if !keys.contains(&w.target) {
-                        keys.push(w.target);
-                        base.push(0.0);
-                        rotation.push_slot(0.0);
-                    }
-                    let slots = (0..keys.len()).filter(|&i| keys[i] == w.target).collect();
-                    rotation.add_window(slots, w.start, w.end, w.boost);
-                    windows.push(w);
-                }
-                RotationOp::Draw(t) => {
-                    let (old_weights, old_idx, old_boosted) =
-                        per_step_pick(&keys, &base, &windows, t, &mut old_rng);
-                    prop_assert_eq!(bits(rotation.weights_at(t)), bits(&old_weights), "t = {}", t);
-                    let idx = rotation.pick(t, &mut new_rng);
-                    let boosted =
-                        windows.iter().any(|w| (w.start..w.end).contains(&t) && w.target == keys[idx]);
-                    prop_assert_eq!(idx, old_idx, "t = {}", t);
-                    prop_assert_eq!(boosted, old_boosted);
-                    prop_assert_eq!(&new_rng, &old_rng);
-                }
-            }
-        }
     }
 }
