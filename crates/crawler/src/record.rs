@@ -54,12 +54,17 @@ impl CrawlRecord {
             push_host(hop.to.host());
         }
         push_host(load.final_url.host());
+        let redirect_hops = load.redirect_count();
+        // The store keeps every record: drop the log's growth slack
+        // (three spare entries on a one-request load).
+        let mut har = load.har;
+        har.entries.shrink_to_fit();
 
         CrawlRecord {
             exchange: exchange.to_string(),
             seq,
             at,
-            redirect_hops: load.redirect_count(),
+            redirect_hops,
             chain_hosts,
             via_shortener: load.chain.iter().any(|h| h.kind == RedirectKind::Shortener),
             via_js_redirect: load.chain.iter().any(|h| h.kind == RedirectKind::JsLocation),
@@ -67,7 +72,7 @@ impl CrawlRecord {
             final_url: load.final_url,
             content: load.html,
             download_filenames: load.downloads.into_iter().map(|d| d.filename).collect(),
-            har: load.har,
+            har,
             failed: load.failed,
         }
     }
