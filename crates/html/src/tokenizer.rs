@@ -349,9 +349,24 @@ mod tests {
         assert!(matches!(&t[3], Token::Text(s) if s == "after"));
     }
 
+    /// The end-tag search that lower-cased a copy of the rest of the
+    /// document for every raw-text element.
+    fn lowercased_search(s: &str, name: &str) -> Option<usize> {
+        s.to_ascii_lowercase().find(&format!("</{name}"))
+    }
+
+    /// A page with many scripts whose closers mix case.
+    fn many_scripts_page() -> String {
+        let closers = ["</script>", "</SCRIPT>", "</Script >", "</sCrIpT>"];
+        let mut html = String::from("<TITLE>t</TiTlE><style>a{}</STYLE>");
+        for i in 0..200 {
+            html.push_str(&format!("<script>var x{i} = a</b;</x>{}<p>{i}</p>", closers[i % 4]));
+        }
+        html
+    }
+
     #[test]
     fn end_tag_search_matches_lowercased_search() {
-        let old = |s: &str, name: &str| s.to_ascii_lowercase().find(&format!("</{name}"));
         let cases = [
             "",
             "<",
@@ -365,19 +380,23 @@ mod tests {
         ];
         for case in cases {
             for name in RAW_TEXT_ELEMENTS {
-                assert_eq!(find_end_tag(case, name), old(case, name), "{case:?} / {name}");
+                let want = lowercased_search(case, name);
+                assert_eq!(find_end_tag(case, name), want, "{case:?} / {name}");
+            }
+        }
+        // Every place a raw-text body can start on the many-scripts page.
+        let page = many_scripts_page();
+        for (i, _) in page.match_indices('>') {
+            let rest = &page[i + 1..];
+            for name in RAW_TEXT_ELEMENTS {
+                assert_eq!(find_end_tag(rest, name), lowercased_search(rest, name), "at {i}");
             }
         }
     }
 
     #[test]
     fn many_raw_text_elements_with_mixed_case_closers() {
-        let closers = ["</script>", "</SCRIPT>", "</Script >", "</sCrIpT>"];
-        let mut html = String::from("<TITLE>t</TiTlE><style>a{}</STYLE>");
-        for i in 0..200 {
-            html.push_str(&format!("<script>var x{i} = a</b;</x>{}<p>{i}</p>", closers[i % 4]));
-        }
-        let t = tokenize(&html);
+        let t = tokenize(&many_scripts_page());
         assert!(matches!(&t[1], Token::Text(s) if s == "t"));
         assert!(matches!(&t[4], Token::Text(s) if s == "a{}"));
         let bodies: Vec<&str> = t
